@@ -21,23 +21,24 @@ from .spectrum import EigenBasis
 
 @dataclass(frozen=True)
 class EnergyRecord:
-    """Energy snapshot along a trajectory.
+    """Energy of one instant (scalar fields) or of a whole run (fields of
+    shape (R,), one entry per record, as `energy` gives for a stacked state).
 
     `diss_int` carries the cumulative dissipation integral int_0^t E' ds
     when the integrator accumulated it step by step (NaN otherwise); the
     a-priori check prefers it over re-quadrature of the thinned records.
     """
 
-    t: float
-    E: float
-    E_star: float
-    D: float
-    kinetic: float
-    potential_linear: float
-    potential_kirchhoff: float
-    thermal: float
-    S: float
-    diss_int: float = math.nan
+    t: float | np.ndarray
+    E: float | np.ndarray
+    E_star: float | np.ndarray
+    D: float | np.ndarray
+    kinetic: float | np.ndarray
+    potential_linear: float | np.ndarray
+    potential_kirchhoff: float | np.ndarray
+    thermal: float | np.ndarray
+    S: float | np.ndarray
+    diss_int: float | np.ndarray = math.nan
 
 
 @dataclass(frozen=True)
@@ -55,39 +56,45 @@ class DecayFit:
         return not (self.omega > 0.0)
 
 
-def dissipation_rate(params: ModelParams, basis: EigenBasis, state: ModalState) -> float:
+def dissipation_rate(params: ModelParams, basis: EigenBasis, state: ModalState):
     """E'(t) in modal form: -(alpha/beta) sum_k lambda_k c_k^2 (<= 0 for alpha*beta > 0)."""
-    validate_state(basis, state)
-    return -(params.alpha / params.beta) * float(basis.lambdas @ (state.c * state.c))
+    return energy(params, basis, state).D
 
 
-def higher_energy(params: ModelParams, basis: EigenBasis, state: ModalState) -> float:
+def higher_energy(params: ModelParams, basis: EigenBasis, state: ModalState):
     """Strong-norm energy sum lam v^2 + phi(S) sum lam^2 h^2 + (alpha/beta) sum lam c^2."""
-    validate_state(basis, state)
-    lam = basis.lambdas
-    s = grad_norm_sq(basis, state.h)
-    phi = kirchhoff_coefficient(params, s)
-    return (
-        float(lam @ (state.v * state.v))
-        + phi * float((lam * lam) @ (state.h * state.h))
-        + (params.alpha / params.beta) * float(lam @ (state.c * state.c))
-    )
+    return energy(params, basis, state).E_star
 
 
 def energy(params: ModelParams, basis: EigenBasis, state: ModalState,
-           diss_int: float = math.nan) -> EnergyRecord:
-    """Full energy record at `state`: E with its component split, E*, and E'."""
+           diss_int=math.nan) -> EnergyRecord:
+    """Energy record of `state`: E with its component split, E*, and E'.
+
+    A stacked state of R instants gives a record of (R,) columns in one
+    vectorised pass; `diss_int` is then one value per instant or a scalar
+    broadcast to all of them.
+    """
     validate_state(basis, state)
-    s = grad_norm_sq(basis, state.h)
-    kinetic = 0.5 * float(state.v @ state.v)
+    lam = basis.lambdas
+    ab = params.alpha / params.beta
+    h, v, c = state.h, state.v, state.c
+    # weighted sums over the mode axis: a dot product for one instant, a
+    # matrix-vector product for a run
+    s = (h * h) @ lam
+    lam_c2 = (c * c) @ lam
+    kinetic = 0.5 * ((v * v) @ np.ones_like(lam))
     pot_lin = 0.5 * params.m0 * s
     pot_kir = 0.25 * params.m1 * s * s
-    thermal = 0.5 * (params.alpha / params.beta) * float(state.c @ state.c)
+    thermal = 0.5 * ab * ((c * c) @ np.ones_like(lam))
+    e_star = ((v * v) @ lam + (params.m0 + params.m1 * s) * ((h * h) @ (lam * lam))
+              + ab * lam_c2)
+    if np.ndim(state.t):
+        diss_int = np.broadcast_to(np.asarray(diss_int, dtype=float), np.shape(state.t))
     return EnergyRecord(
         t=state.t,
         E=kinetic + pot_lin + pot_kir + thermal,
-        E_star=higher_energy(params, basis, state),
-        D=dissipation_rate(params, basis, state),
+        E_star=e_star,
+        D=-ab * lam_c2,
         kinetic=kinetic,
         potential_linear=pot_lin,
         potential_kirchhoff=pot_kir,
@@ -106,25 +113,16 @@ def energy_gradient(params: ModelParams, basis: EigenBasis, state: ModalState):
     return phi * lam * state.h, state.v.copy(), (params.alpha / params.beta) * state.c
 
 
-def _records_of(traj_or_records):
-    recs = getattr(traj_or_records, "records", traj_or_records)
-    return list(recs)
-
-
 def energy_balance_residual(traj_or_records) -> float:
     """max_i |E(t_i) - E(0) - int_0^{t_i} E' ds| with trapezoid on the records.
 
     Measures the time-discretization defect; shrinks at the integrator's
     order as dt -> 0.
     """
-    recs = _records_of(traj_or_records)
-    if len(recs) < 2:
+    recs = getattr(traj_or_records, "records", traj_or_records)
+    if np.size(recs.t) < 2:
         raise ValueError("need at least 2 records")
-    t = np.array([r.t for r in recs])
-    e = np.array([r.E for r in recs])
-    d = np.array([r.D for r in recs])
-    acc = np.concatenate([[0.0], np.cumsum(0.5 * (d[1:] + d[:-1]) * np.diff(t))])
-    return float(np.abs(e - e[0] - acc).max())
+    return float(np.abs(recs.E - recs.E[0] - _cumtrapz(recs.t, recs.D)).max())
 
 
 @dataclass(frozen=True)
@@ -143,19 +141,16 @@ def first_apriori_check(traj_or_records, tol: float | None = None) -> AprioriChe
     the worst margin max_t (LHS - 2E(0)); the bound holds when it is <= tol
     (default 1e-8 * E(0)).
     """
-    recs = _records_of(traj_or_records)
-    if not recs:
+    recs = getattr(traj_or_records, "records", traj_or_records)
+    if np.size(recs.t) == 0:
         raise ValueError("no records")
-    e0 = recs[0].E
+    e0 = float(recs.E[0])
     if tol is None:
         tol = 1e-8 * e0
-    t = np.array([r.t for r in recs])
-    e = np.array([r.E for r in recs])
-    di = np.array([r.diss_int for r in recs])
+    di = recs.diss_int
     if not np.isfinite(di).all():
-        d = np.array([r.D for r in recs])
-        di = np.concatenate([[0.0], np.cumsum(0.5 * (d[1:] + d[:-1]) * np.diff(t))])
-    lhs = 2.0 * e - 2.0 * di
+        di = _cumtrapz(recs.t, recs.D)
+    lhs = 2.0 * recs.E - 2.0 * di
     margin = float((lhs - 2.0 * e0).max())
     return AprioriCheck(holds=margin <= tol, margin=margin, tol=tol)
 
@@ -169,12 +164,11 @@ def fit_exponential_decay(records, window: tuple[float, float] | None = None,
     envelope prefactor absorbs oscillation, and the numerically-zero tail.
     Needs at least 10 usable records.
     """
-    recs = _records_of(records)
-    if not recs:
+    recs = getattr(records, "records", records)
+    if np.size(recs.t) == 0:
         raise ValueError("no records")
-    e0 = recs[0].E
-    t = np.array([r.t for r in recs])
-    e = np.array([r.E for r in recs])
+    t, e = recs.t, recs.E
+    e0 = float(e[0])
     if window is None:
         span = t[-1] - t[0]
         window = (t[0] + 0.2 * span, t[0] + 0.8 * span)
@@ -309,11 +303,10 @@ class HorizonEstimate:
 def higher_energy_bound_horizon(traj_or_records) -> HorizonEstimate:
     """Estimate C = max |dE*/dt| / E*^(3/2) from records and the induced
     horizon 2 / (C sqrt(E*(0))) of the bound E*(t) <= {E*(0)^-1/2 - C t/2}^-2."""
-    recs = _records_of(traj_or_records)
-    if len(recs) < 3:
+    recs = getattr(traj_or_records, "records", traj_or_records)
+    if np.size(recs.t) < 3:
         raise ValueError("need at least 3 records")
-    t = np.array([r.t for r in recs])
-    es = np.array([r.E_star for r in recs])
+    t, es = recs.t, recs.E_star
     dstar = (es[2:] - es[:-2]) / (t[2:] - t[:-2])
     mid = es[1:-1]
     ok = mid > 1e-300

@@ -61,9 +61,14 @@ class ModelParams:
 
 @dataclass
 class ModalState:
-    """Time slice of modal coefficients: displacement h, velocity v, temperature c."""
+    """Modal coefficients: displacement h, velocity v, temperature c.
 
-    t: float
+    One instant has a float `t` and arrays of shape (N,). A whole run stacks
+    R instants along a leading record axis: `t` has shape (R,) and h, v, c
+    have shape (R, N).
+    """
+
+    t: float | np.ndarray
     h: np.ndarray
     v: np.ndarray
     c: np.ndarray
@@ -78,10 +83,11 @@ def zero_state(basis: EigenBasis, t: float = 0.0) -> ModalState:
 
 
 def validate_state(basis: EigenBasis, state: ModalState):
-    n = basis.n_modes
+    """Check that h, v, c have shape (N,) for one instant or (R, N) for a run of R."""
+    shape = np.shape(state.t) + (basis.n_modes,)
     for name, arr in (("h", state.h), ("v", state.v), ("c", state.c)):
-        if arr.shape != (n,):
-            raise ValueError(f"state.{name} has shape {arr.shape}, expected ({n},)")
+        if arr.shape != shape:
+            raise ValueError(f"state.{name} has shape {arr.shape}, expected {shape}")
 
 
 def kirchhoff_coefficient(params: ModelParams, s: float) -> float:

@@ -11,7 +11,6 @@ import itertools
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -168,10 +167,13 @@ def _expect(tree: dict, key: str, path: str, kinds, required: bool = True, defau
             raise ConfigError(f"{path}.{key}" if path else key, "missing required field")
         return default
     val = tree[key]
-    if kinds is not None and not isinstance(val, kinds):
+    field = f"{path}.{key}" if path else key
+    # bool is an int subclass, but no field takes a JSON true/false
+    if kinds is not None and (not isinstance(val, kinds) or isinstance(val, bool)):
         names = kinds.__name__ if isinstance(kinds, type) else "/".join(k.__name__ for k in kinds)
-        raise ConfigError(f"{path}.{key}" if path else key,
-                          f"expected {names}, got {type(val).__name__}")
+        raise ConfigError(field, f"expected {names}, got {type(val).__name__}")
+    if isinstance(val, float) and not math.isfinite(val):
+        raise ConfigError(field, f"must be finite, got {val}")
     return val
 
 
@@ -306,9 +308,9 @@ def format_float(x: float) -> str:
 
 
 def csv_text(records) -> str:
+    table = np.column_stack([getattr(records, col) for col in CSV_COLUMNS]).tolist()
     lines = [",".join(CSV_COLUMNS)]
-    for r in records:
-        lines.append(",".join(format_float(getattr(r, col)) for col in CSV_COLUMNS))
+    lines += [",".join(map(format_float, row)) for row in table]
     return "\n".join(lines) + "\n"
 
 
@@ -317,7 +319,7 @@ def write_trajectory_csv(records, path: Path) -> None:
 
 
 def energy_monotone(records, rel_tol: float = 1e-9) -> bool:
-    e = np.array([r.E for r in records])
+    e = records.E
     if e.size < 2:
         return True
     return bool(np.diff(e).max() <= rel_tol * max(e[0], 1e-300))
@@ -336,9 +338,9 @@ def trajectory_diagnostics(traj: Trajectory) -> dict:
             "c_emp": horizon.c_emp,
             "horizon": horizon.horizon if math.isfinite(horizon.horizon) else None,
         },
-        "E0": recs[0].E,
-        "E_end": recs[-1].E,
-        "n_records": len(recs),
+        "E0": float(recs.E[0]),
+        "E_end": float(recs.E[-1]),
+        "n_records": recs.E.size,
         "n_steps": traj.n_steps,
     }
     try:
@@ -416,8 +418,7 @@ def convergence_study(config: ScenarioConfig, mode_counts) -> list[ConvergenceRo
 
     rows = []
     for coarse, fine in zip(runs, runs[1:]):
-        e_c = np.array([r.E for r in coarse.records])
-        e_f = np.array([r.E for r in fine.records])
+        e_c, e_f = coarse.records.E, fine.records.E
         if e_c.size != e_f.size:
             raise RuntimeError("record grids differ between resolutions; fix dt/record_every")
         # match coarse modes inside the fine basis by their index tuples
@@ -445,18 +446,6 @@ class UniquenessReport:
     final_diff_norm: float
 
 
-def _difference_norm(params: ModelParams, basis: EigenBasis, base: ModalState,
-                     pert: ModalState, s_base: float) -> float:
-    lam = basis.lambdas
-    dh = pert.h - base.h
-    dv = pert.v - base.v
-    dc = pert.c - base.c
-    q = (float(dv @ dv)
-         + (params.m0 + params.m1 * s_base) * float(lam @ (dh * dh))
-         + (params.alpha / params.beta) * float(dc @ dc))
-    return math.sqrt(max(q, 0.0))
-
-
 def uniqueness_probe(config: ScenarioConfig, epsilon: float) -> UniquenessReport:
     """Compare the scenario against a copy with y0 perturbed by epsilon on
     the first mode. The reported quantity is the square root of the
@@ -476,14 +465,16 @@ def uniqueness_probe(config: ScenarioConfig, epsilon: float) -> UniquenessReport
     pert = simulate(config.params, basis, state0p, config.t_end, stepper,
                     record_every=config.record_every)
 
-    bitwise = all(
-        np.array_equal(a.h, b.h) and np.array_equal(a.v, b.v) and np.array_equal(a.c, b.c)
-        for a, b in zip(base.states, pert.states))
-    diffs = [
-        _difference_norm(config.params, basis, a, b, rec.S)
-        for a, b, rec in zip(base.states, pert.states, base.records)
-    ]
-    max_norm = max(diffs)
+    a, b = base.states, pert.states
+    bitwise = (np.array_equal(a.h, b.h) and np.array_equal(a.v, b.v)
+               and np.array_equal(a.c, b.c))
+    p = config.params
+    dh, dv, dc = b.h - a.h, b.v - a.v, b.c - a.c
+    ones = np.ones(basis.n_modes)
+    q = ((dv * dv) @ ones + (p.m0 + p.m1 * base.records.S) * ((dh * dh) @ basis.lambdas)
+         + (p.alpha / p.beta) * ((dc * dc) @ ones))
+    diffs = np.sqrt(np.maximum(q, 0.0))
+    max_norm = float(diffs.max())
     horizon = higher_energy_bound_horizon(pert.records).horizon
     return UniquenessReport(
         epsilon=epsilon,
@@ -491,7 +482,7 @@ def uniqueness_probe(config: ScenarioConfig, epsilon: float) -> UniquenessReport
         ratio=max_norm / epsilon if epsilon > 0.0 else (math.inf if max_norm > 0.0 else 0.0),
         bitwise_identical=bitwise,
         horizon_breach=horizon < config.t_end,
-        final_diff_norm=diffs[-1],
+        final_diff_norm=float(diffs[-1]),
     )
 
 
@@ -534,25 +525,20 @@ def _scaled_profile(profile: InitialProfile, sigma: float) -> InitialProfile:
     return replace(profile, amplitude=sigma * profile.amplitude)
 
 
-def sweep(config: ScenarioConfig, grid: dict, sigmas=None, max_workers: int | None = None):
+def sweep(config: ScenarioConfig, grid: dict, sigmas=None):
     """Cartesian sweep over axes in {m1, alpha, beta, n_modes}, plus an
     optional initial-data scaling study at the base point (fitted omega per
     sigma; reported, not asserted, since the decay constant may drift with
-    amplitude once m1 > 0). Cells run concurrently; output order follows
-    grid order regardless of completion order; failed cells carry an error
-    string and the sweep continues."""
+    amplitude once m1 > 0). Cells run in grid order; failed cells carry an
+    error string and the sweep continues."""
     for key in grid:
         if key not in SWEEP_AXES:
             raise ValueError(f"unknown sweep axis {key!r}; expected subset of {SWEEP_AXES}")
     axes = [k for k in SWEEP_AXES if k in grid]
     if not axes or any(len(grid[k]) == 0 for k in axes):
         raise ValueError("sweep grid must be nonempty")
-    points = [dict(zip(axes, combo)) for combo in itertools.product(*(grid[k] for k in axes))]
-
-    if max_workers is None:
-        max_workers = min(len(points), os.cpu_count() or 1, 8)
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        rows = list(pool.map(lambda p: _sweep_cell(config, p), points))
+    rows = [_sweep_cell(config, dict(zip(axes, combo)))
+            for combo in itertools.product(*(grid[k] for k in axes))]
 
     scale_rows = []
     for sigma in (sigmas or ()):
@@ -608,16 +594,16 @@ def verify_suite(config: ScenarioConfig) -> list[VerifyCheck]:
     zero_cfg = replace(config, y0=InitialProfile(kind="zero"),
                        y1=InitialProfile(kind="zero"), theta0=InitialProfile(kind="zero"))
     zr = run_scenario(zero_cfg, write_files=False).trajectory
-    zero_ok = all(r.E == 0.0 for r in zr.records) and all(
-        not s.h.any() and not s.v.any() and not s.c.any() for s in zr.states)
+    zs = zr.states
+    zero_ok = not (zr.records.E.any() or zs.h.any() or zs.v.any() or zs.c.any())
     add("zero_data_exact", zero_ok, "zero data stays exactly zero")
 
     traj = simulate(config.params, basis, state0, config.t_end, stepper,
                     record_every=config.record_every)
     recs = traj.records
-    e0 = recs[0].E
+    e0 = float(recs.E[0])
 
-    inc = max(b.E - a.E for a, b in zip(recs, recs[1:]))
+    inc = float(np.diff(recs.E).max())
     add("energy_monotone", inc <= 1e-9 * max(e0, 1e-300),
         f"max energy increment = {inc:.3e} (E0 = {e0:.6g})")
 
@@ -628,9 +614,7 @@ def verify_suite(config: ScenarioConfig) -> list[VerifyCheck]:
     else:
         recs_d = simulate(config.params, basis, state0, min(config.t_end, 2.0),
                           stepper, record_every=1).records
-    t = np.array([r.t for r in recs_d])
-    e = np.array([r.E for r in recs_d])
-    d = np.array([r.D for r in recs_d])
+    t, e, d = recs_d.t, recs_d.E, recs_d.D
     cd = (e[2:] - e[:-2]) / (t[2:] - t[:-2])
     dscale = np.abs(d).max()
     diss_err = float(np.abs(cd - d[1:-1]).max() / dscale) if dscale > 0.0 else 0.0
@@ -656,10 +640,9 @@ def verify_suite(config: ScenarioConfig) -> list[VerifyCheck]:
     s0f.c = -s0f.c
     traj_f = simulate(flipped_params, basis, s0f, config.t_end, stepper,
                       record_every=config.record_every)
-    flip_err = max(
-        max(float(np.abs(a.h - b.h).max()), float(np.abs(a.v - b.v).max()),
-            float(np.abs(a.c + b.c).max()))
-        for a, b in zip(traj.states, traj_f.states))
+    a, b = traj.states, traj_f.states
+    flip_err = float(max(np.abs(a.h - b.h).max(), np.abs(a.v - b.v).max(),
+                         np.abs(a.c + b.c).max()))
     add("coupling_sign_flip", flip_err <= 1e-12,
         f"(alpha,beta,theta0) -> (-alpha,-beta,-theta0) state mismatch = {flip_err:.3e}")
 
@@ -672,8 +655,8 @@ def verify_suite(config: ScenarioConfig) -> list[VerifyCheck]:
     dt_rk = min(stepper.dt, 2.0 / basis.lambda_max)
     if t_cross / dt_rk <= 200_000:
         rk = StepperConfig(method="rk4", dt=dt_rk)
-        e_mid = simulate(config.params, basis, state0, t_cross, stepper).records[-1].E
-        e_rk = simulate(config.params, basis, state0, t_cross, rk).records[-1].E
+        e_mid = simulate(config.params, basis, state0, t_cross, stepper).records.E[-1]
+        e_rk = simulate(config.params, basis, state0, t_cross, rk).records.E[-1]
         cross = abs(e_mid - e_rk) / max(e0, 1e-300)
         add("cross_integrator", cross <= 1e-4,
             f"midpoint vs rk4 energy at t={t_cross:.3g}: rel diff = {cross:.3e}")

@@ -68,10 +68,11 @@ def _gauss_legendre_composite(length: float, panels: int, order: int):
 
 def _default_panels(length: float, max_index: int) -> int:
     # 8 panels per unit length pi handles smooth data; the 0.75*k term keeps
-    # the highest sine products resolved (mode k needs ~0.375 panels per
-    # half-wave for order-10 panels to reach ~1e-14 Gram error).
+    # the highest sine products resolved (mode k has k half-waves whatever
+    # the length, and needs ~0.375 panels per half-wave for order-10 panels
+    # to reach ~1e-14 Gram error).
     base = math.ceil(8.0 * length / math.pi)
-    return max(base, math.ceil(0.75 * max_index * length / math.pi), 1)
+    return max(base, math.ceil(0.75 * max_index), 1)
 
 
 @dataclass(frozen=True)

@@ -20,12 +20,13 @@ thinned records afterwards is too lossy for the a-priori identity check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .diagnostics import EnergyRecord, energy
-from .model import ModelParams, ModalState, grad_norm_sq, kirchhoff_coefficient, rhs
+from .model import ModelParams, ModalState, grad_norm_sq, kirchhoff_coefficient
+from .model import rhs  # noqa: F401  unused; bound here so call counters can wrap it
 from .spectrum import EigenBasis
 
 RK4_STABILITY_LIMIT = 2.5
@@ -60,23 +61,22 @@ class StepperConfig:
 
 @dataclass
 class Trajectory:
-    """Thinned simulation output: states and energy records at the same
-    sample times (every record_every-th step, plus t = 0 and t = t_end)."""
+    """Thinned simulation output, stacked along a leading record axis:
+    `states` (t of shape (R,), h, v, c of shape (R, N)) and `records`
+    (fields of shape (R,)) share the R sample times: every
+    record_every-th step, plus t = 0 and t = t_end."""
 
     params: ModelParams
     basis: EigenBasis
     config: StepperConfig
-    states: list[ModalState] = field(default_factory=list)
-    records: list[EnergyRecord] = field(default_factory=list)
-    n_steps: int = 0
+    states: ModalState
+    records: EnergyRecord
+    n_steps: int
 
     @property
     def final_state(self) -> ModalState:
-        return self.states[-1]
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([r.t for r in self.records])
+        s = self.states
+        return ModalState(float(s.t[-1]), s.h[-1].copy(), s.v[-1].copy(), s.c[-1].copy())
 
 
 def default_dt(params: ModelParams, basis: EigenBasis, state: ModalState) -> float:
@@ -199,8 +199,8 @@ def simulate(params: ModelParams, basis: EigenBasis, state0: ModalState,
     plus the endpoints."""
     if config is None:
         config = StepperConfig()
-    if not (t_end > state0.t):
-        raise ValueError(f"t_end={t_end} must exceed start time {state0.t}")
+    if not (math.isfinite(t_end) and t_end > state0.t):
+        raise ValueError(f"t_end={t_end} must be finite and exceed start time {state0.t}")
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
     if config.method == "rk4" and config.dt * basis.lambda_max > RK4_STABILITY_LIMIT:
@@ -215,25 +215,36 @@ def simulate(params: ModelParams, basis: EigenBasis, state0: ModalState,
     if dt_last < 1e-12 * config.dt:
         dt_last = 0.0
 
-    traj = Trajectory(params=params, basis=basis, config=config)
-    state = state0.copy()
-    diss = 0.0
-    traj.states.append(state.copy())
-    traj.records.append(energy(params, basis, state, diss_int=diss))
+    # rows: t0, every record_every-th full step, then t_end; a full step
+    # that lands on t_end fills only the t_end row
+    n_rec = 2 + n_full // record_every
+    if dt_last == 0.0 and n_full > 0 and n_full % record_every == 0:
+        n_rec -= 1
+    shape = (n_rec, basis.n_modes)
+    rows = ModalState(np.empty(n_rec), np.empty(shape), np.empty(shape), np.empty(shape))
+    diss = np.empty(n_rec)
 
+    def keep(i, state, acc):
+        rows.t[i], rows.h[i], rows.v[i], rows.c[i], diss[i] = (
+            state.t, state.h, state.v, state.c, acc)
+
+    state = state0
+    acc = 0.0
+    keep(0, state, acc)
+    i = 1
     t0 = state0.t
     for n in range(1, n_full + 1):
         state, d_inc = step(params, basis, state, config)
         state.t = t0 + n * config.dt  # avoid accumulated roundoff in t
-        diss += d_inc
-        if n % record_every == 0 and not (n == n_full and dt_last == 0.0):
-            traj.states.append(state.copy())
-            traj.records.append(energy(params, basis, state, diss_int=diss))
+        acc += d_inc
+        if n % record_every == 0 and i < n_rec - 1:  # the last row is t_end's
+            keep(i, state, acc)
+            i += 1
     if dt_last > 0.0:
         state, d_inc = step(params, basis, state, config, dt=dt_last)
-        diss += d_inc
-    state.t = t_end
-    traj.states.append(state.copy())
-    traj.records.append(energy(params, basis, state, diss_int=diss))
-    traj.n_steps = n_full + (1 if dt_last > 0.0 else 0)
-    return traj
+        acc += d_inc
+    keep(n_rec - 1, state, acc)
+    rows.t[-1] = t_end
+    return Trajectory(params=params, basis=basis, config=config, states=rows,
+                      records=energy(params, basis, rows, diss_int=diss),
+                      n_steps=n_full + (1 if dt_last > 0.0 else 0))

@@ -42,9 +42,7 @@ def run_records(cfg):
 
 
 def dissipation_residual(records):
-    t = np.array([r.t for r in records])
-    e = np.array([r.E for r in records])
-    d = np.array([r.D for r in records])
+    t, e, d = records.t, records.E, records.D
     cd = (e[2:] - e[:-2]) / (t[2:] - t[:-2])
     return float(np.abs(cd - d[1:-1]).max() / np.abs(d).max())
 
@@ -85,8 +83,8 @@ def test_criterion_02_energy_never_increases(small_population, capsys):
     worst = -math.inf
     worst_label = ""
     for label, recs in population:
-        e0 = recs[0].E
-        inc = max(b.E - a.E for a, b in zip(recs, recs[1:])) / e0
+        e0 = recs.E[0]
+        inc = np.diff(recs.E).max() / e0
         if inc > worst:
             worst, worst_label = inc, label
     ok = worst <= 1e-9 and elapsed < 60.0
@@ -228,11 +226,9 @@ def test_criterion_10_zero_data_exact(default_cfg, tmp_path, capsys):
                   theta0=InitialProfile(kind="zero"))
     result = run_scenario(cfg, outdir=tmp_path)
     traj = result.trajectory
-    states_zero = all(not s.h.any() and not s.v.any() and not s.c.any()
-                      for s in traj.states)
-    fields_zero = all(
-        r.E == 0.0 and r.E_star == 0.0 and r.D == 0.0 and r.S == 0.0
-        for r in traj.records)
+    s, r = traj.states, traj.records
+    states_zero = not (s.h.any() or s.v.any() or s.c.any())
+    fields_zero = not (r.E.any() or r.E_star.any() or r.D.any() or r.S.any())
     csv_lines = result.csv_path.read_text().strip().splitlines()[1:]
     csv_zero = all(all(f == "0" for f in line.split(",")[1:]) for line in csv_lines)
     ok = states_zero and fields_zero and csv_zero

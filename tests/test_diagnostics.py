@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -92,6 +92,37 @@ def test_energy_invariant_under_joint_coupling_negation():
     assert a.E == b.E and a.E_star == b.E_star and a.D == b.D
 
 
+@pytest.mark.parametrize("n", [8, 16])
+def test_energy_on_stacked_state_matches_rows(n):
+    """A run of R instants gives (R,) columns equal to R single-instant
+    records, up to the summation order of a matrix-vector product."""
+    rng = np.random.default_rng(n)
+    basis = build_basis(Domain.interval(math.pi), n)
+    params = ModelParams(1.0, 0.5, 1.3, 0.7)
+    r = 6
+    run = ModalState(np.linspace(0.0, 1.0, r), rng.standard_normal((r, n)),
+                     rng.standard_normal((r, n)), rng.standard_normal((r, n)))
+    diss = -rng.uniform(0.0, 1.0, r)
+    rec = energy(params, basis, run, diss_int=diss)
+    for i in range(r):
+        row = energy(params, basis, ModalState(run.t[i], run.h[i], run.v[i], run.c[i]),
+                     diss_int=diss[i])
+        for f in fields(EnergyRecord):
+            col = getattr(rec, f.name)
+            assert col.shape == (r,)
+            np.testing.assert_allclose(col[i], getattr(row, f.name), rtol=1e-15, atol=0.0)
+    np.testing.assert_array_equal(higher_energy(params, basis, run), rec.E_star)
+    np.testing.assert_array_equal(dissipation_rate(params, basis, run), rec.D)
+
+    zero = energy(params, basis, ModalState(run.t, np.zeros((r, n)), np.zeros((r, n)),
+                                            np.zeros((r, n))))
+    for f in fields(EnergyRecord):
+        if f.name not in ("t", "diss_int"):
+            np.testing.assert_array_equal(getattr(zero, f.name), np.zeros(r))
+    with pytest.raises(ValueError, match="shape"):
+        energy(params, basis, ModalState(run.t[:-1], run.h, run.v, run.c))
+
+
 def run_small(m1=0.5, seed=0, t_end=2.0, dt=1e-3, n=4):
     basis = build_basis(Domain.interval(math.pi), n)
     rng = np.random.default_rng(seed)
@@ -109,20 +140,22 @@ def test_balance_residual_zero_trajectory():
 
 
 def test_balance_residual_needs_two_records():
-    _, _, traj = run_small()
+    params, basis, traj = run_small()
+    s = traj.states
+    one_row = energy(params, basis, ModalState(s.t[:1], s.h[:1], s.v[:1], s.c[:1]))
     with pytest.raises(ValueError):
-        energy_balance_residual(traj.records[:1])
+        energy_balance_residual(one_row)
 
 
 def test_first_apriori_holds_then_fails_when_corrupted():
     _, _, traj = run_small(seed=5)
     check = first_apriori_check(traj.records)
     assert check.holds
-    assert check.tol == pytest.approx(1e-8 * traj.records[0].E)
+    assert check.tol == pytest.approx(1e-8 * traj.records.E[0])
 
-    bad = list(traj.records)
-    bad[len(bad) // 2] = replace(bad[len(bad) // 2], E=2.0 * bad[len(bad) // 2].E)
-    assert not first_apriori_check(bad).holds
+    e = traj.records.E.copy()
+    e[e.size // 2] *= 2.0
+    assert not first_apriori_check(replace(traj.records, E=e)).holds
 
 
 def test_first_apriori_zero_data():
@@ -135,15 +168,17 @@ def test_first_apriori_zero_data():
 
 def test_first_apriori_falls_back_to_trapezoid():
     _, _, traj = run_small(seed=6)
-    stripped = [replace(r, diss_int=math.nan) for r in traj.records]
-    check = first_apriori_check(stripped, tol=1e-4 * traj.records[0].E)
+    stripped = replace(traj.records, diss_int=np.full_like(traj.records.t, math.nan))
+    check = first_apriori_check(stripped, tol=1e-4 * traj.records.E[0])
     assert check.holds
 
 
-def synthetic_records(t, e):
-    return [EnergyRecord(t=float(ti), E=float(ei), E_star=0.0, D=0.0, kinetic=0.0,
-                         potential_linear=0.0, potential_kirchhoff=0.0, thermal=0.0,
-                         S=0.0) for ti, ei in zip(t, e)]
+def synthetic_records(t, e=None, e_star=None):
+    zero = np.zeros_like(t)
+    return EnergyRecord(t=t, E=zero if e is None else e,
+                        E_star=zero if e_star is None else e_star, D=zero, kinetic=zero,
+                        potential_linear=zero, potential_kirchhoff=zero, thermal=zero,
+                        S=zero)
 
 
 def test_fit_recovers_exact_exponential():
@@ -275,10 +310,7 @@ def test_horizon_estimate_on_exact_riccati_growth():
     # E* = (E0^-1/2 - C t / 2)^-2 solves dE*/dt = C E*^(3/2); C = 1, E0 = 1
     t = np.linspace(0.0, 1.5, 1501)
     estar = (1.0 - 0.5 * t) ** -2.0
-    recs = [EnergyRecord(t=float(ti), E=0.0, E_star=float(ei), D=0.0, kinetic=0.0,
-                         potential_linear=0.0, potential_kirchhoff=0.0, thermal=0.0,
-                         S=0.0) for ti, ei in zip(t, estar)]
-    est = higher_energy_bound_horizon(recs)
+    est = higher_energy_bound_horizon(synthetic_records(t, e_star=estar))
     assert est.c_emp == pytest.approx(1.0, rel=2e-2)
     assert est.horizon == pytest.approx(2.0, rel=2e-2)
 

@@ -70,6 +70,9 @@ def test_load_config_round_trip(default_config):
         (lambda d: d.update(spec_version=7), "spec_version"),
         (lambda d: d.update(record_every=0), "record_every"),
         (lambda d: d["initial"].update(y0={"kind": "wavelet"}), "kind"),
+        (lambda d: d.update(t_end=math.inf), "t_end"),
+        (lambda d: d["params"].update(m1=math.inf), "params.m1"),
+        (lambda d: d.update(n_modes=True), "n_modes: expected int, got bool"),
     ],
 )
 def test_config_errors_name_the_field(mutate, fragment):
@@ -139,9 +142,10 @@ def test_csv_contract(tmp_path, small_config):
     assert len(lines) - 1 == 1 + 1000 // 5
     # %.17g must round-trip to the exact binary values
     recs = result.trajectory.records
-    for line, rec in zip(lines[1:], recs):
-        fields = [float(f) for f in line.split(",")]
-        assert fields[0] == rec.t and fields[1] == rec.E and fields[8] == rec.S
+    table = np.array([[float(f) for f in line.split(",")] for line in lines[1:]])
+    np.testing.assert_array_equal(table[:, 0], recs.t)
+    np.testing.assert_array_equal(table[:, 1], recs.E)
+    np.testing.assert_array_equal(table[:, 8], recs.S)
 
 
 def test_format_float_round_trip():
@@ -287,6 +291,13 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     p.write_text(json.dumps({k: v for k, v in small_dict().items() if k != "params"}))
     assert main(["simulate", str(p)]) == 2
     assert "params" in capsys.readouterr().err
+
+
+def test_cli_infinite_t_end_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, t_end=math.inf)  # serialized as JSON Infinity
+    assert main(["simulate", str(cfg), "--outdir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "t_end" in err and "Traceback" not in err
 
 
 def test_cli_divergence_exits_3(tmp_path, capsys):

@@ -65,6 +65,8 @@ def test_lambdas_sorted_and_readonly():
     (Domain.interval(2.5), 64),
     (Domain.rectangle(math.pi, math.pi), 32),
     (Domain.rectangle(1.0, 2.0), 24),
+    (Domain.interval(1.0), 64),
+    (Domain.rectangle(1.0, 1.0), 64),
 ])
 def test_gram_identity(domain, n):
     """Orthonormality under the attached quadrature, 1e-8 up to 64 modes."""

@@ -77,24 +77,24 @@ def test_record_count_contract():
     cfg = StepperConfig(dt=1e-2)
     # 100 steps land exactly on t_end
     traj = simulate(NONLIN, BASIS_4, state0, 1.0, cfg, record_every=5)
-    assert len(traj.records) == 1 + 100 // 5
+    assert traj.records.t.size == 1 + 100 // 5
     traj = simulate(NONLIN, BASIS_4, state0, 1.0, cfg, record_every=7)
-    assert len(traj.records) == 1 + 100 // 7 + 1
+    assert traj.records.t.size == 1 + 100 // 7 + 1
     # partial final step appends one more record
     traj = simulate(NONLIN, BASIS_4, state0, 1.005, cfg, record_every=5)
-    assert len(traj.records) == 1 + 100 // 5 + 1
-    assert traj.records[-1].t == 1.005
+    assert traj.records.t.size == 1 + 100 // 5 + 1
+    assert traj.records.t[-1] == 1.005
     assert traj.n_steps == 101
 
 
 def test_record_times_and_states_align():
     state0 = small_state(BASIS_4, seed=1)
     traj = simulate(NONLIN, BASIS_4, state0, 0.5, StepperConfig(dt=1e-2), record_every=3)
-    times = traj.times
+    times = traj.records.t
     assert times[0] == 0.0
     assert times[-1] == 0.5
     assert np.all(np.diff(times) > 0.0)
-    assert [s.t for s in traj.states] == list(times)
+    assert np.array_equal(traj.states.t, times)
     np.testing.assert_allclose(np.diff(times)[:-1], 3e-2, rtol=1e-12)
 
 
@@ -115,7 +115,7 @@ def test_rk4_stability_guard():
 def test_energy_never_increases_beyond_tolerance():
     state0 = small_state(BASIS_4, seed=2)
     traj = simulate(NONLIN, BASIS_4, state0, 5.0, StepperConfig(dt=1e-3))
-    e = np.array([r.E for r in traj.records])
+    e = traj.records.E
     assert np.diff(e).max() <= 1e-9 * e[0]
     assert e[-1] < e[0]
 
@@ -125,12 +125,12 @@ def test_dissipation_accumulator_tracks_energy_drop():
     # for the quadratic energy (m1 = 0); the quartic term adds O(dt^2) defect
     state0 = small_state(BASIS_4, seed=3)
     lin = simulate(LIN, BASIS_4, state0, 2.0, StepperConfig(dt=1e-3))
-    drop = lin.records[-1].E - lin.records[0].E
-    assert lin.records[-1].diss_int == pytest.approx(drop, abs=1e-13 * lin.records[0].E)
+    drop = lin.records.E[-1] - lin.records.E[0]
+    assert lin.records.diss_int[-1] == pytest.approx(drop, abs=1e-13 * lin.records.E[0])
 
     traj = simulate(NONLIN, BASIS_4, state0, 2.0, StepperConfig(dt=1e-3))
-    drop = traj.records[-1].E - traj.records[0].E
-    assert traj.records[-1].diss_int == pytest.approx(drop, abs=1e-5 * traj.records[0].E)
+    drop = traj.records.E[-1] - traj.records.E[0]
+    assert traj.records.diss_int[-1] == pytest.approx(drop, abs=1e-5 * traj.records.E[0])
 
 
 def test_default_dt_formula():
@@ -176,12 +176,11 @@ def test_coupling_sign_flip_with_negated_temperature():
     cfg = StepperConfig(dt=2e-3)
     a = simulate(NONLIN, BASIS_4, state0, 1.0, cfg)
     b = simulate(flipped_params, BASIS_4, s0f, 1.0, cfg)
-    for sa, sb in zip(a.states, b.states):
-        np.testing.assert_array_equal(sa.h, sb.h)
-        np.testing.assert_array_equal(sa.v, sb.v)
-        np.testing.assert_array_equal(sa.c, -sb.c)
-    for ra, rb in zip(a.records, b.records):
-        assert ra.E == rb.E and ra.D == rb.D and ra.E_star == rb.E_star
+    np.testing.assert_array_equal(a.states.h, b.states.h)
+    np.testing.assert_array_equal(a.states.v, b.states.v)
+    np.testing.assert_array_equal(a.states.c, -b.states.c)
+    for col in ("E", "D", "E_star"):
+        np.testing.assert_array_equal(getattr(a.records, col), getattr(b.records, col))
 
 
 def test_balance_residual_second_order():
@@ -198,4 +197,4 @@ def test_rk4_midpoint_cross_agreement():
     state0 = small_state(BASIS_4, seed=10)
     mid = simulate(NONLIN, BASIS_4, state0, 1.0, StepperConfig(dt=5e-4))
     rk = simulate(NONLIN, BASIS_4, state0, 1.0, StepperConfig(method="rk4", dt=5e-4))
-    assert abs(mid.records[-1].E - rk.records[-1].E) <= 1e-7 * mid.records[0].E
+    assert abs(mid.records.E[-1] - rk.records.E[-1]) <= 1e-7 * mid.records.E[0]
