@@ -22,6 +22,7 @@ with -beta lambda_k v_k.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,9 @@ from .spectrum import EigenBasis
 class ModelParams:
     """Stiffness constants (m0, m1) and couplings (alpha, beta).
 
-    alpha and beta must be nonzero with the same sign; that product sign
-    is what makes heat conduction dissipate the total energy.
+    All four must be finite. alpha and beta must be nonzero with the same
+    sign; that product sign is what makes heat conduction dissipate the
+    total energy.
     """
 
     m0: float
@@ -43,6 +45,9 @@ class ModelParams:
     beta: float
 
     def __post_init__(self):
+        for name in ("m0", "m1", "alpha", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.m0 > 0.0:
             raise ValueError(f"m0 must be positive (non-degenerate), got {self.m0}")
         if self.m1 < 0.0:

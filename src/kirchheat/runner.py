@@ -24,9 +24,12 @@ from .diagnostics import (
 )
 from .model import ModalState, ModelParams
 from .spectrum import Domain, EigenBasis, build_basis, project_initial_data
-from .timeloop import StepperConfig, Trajectory, default_dt, simulate
+from .timeloop import StepperConfig, Trajectory, default_dt, rk4_dt_limit, simulate
 
 SPEC_VERSION = 1
+# most record values (rows x n_modes) a scenario may preallocate; its three
+# state arrays then hold 240 MB
+MAX_RECORD_VALUES = 10**7
 OUTDIR_ENV = "KIRCHHEAT_OUTDIR"
 CSV_COLUMNS = ("t", "E", "E_star", "D", "kinetic", "potential_linear",
                "potential_kirchhoff", "thermal", "S")
@@ -94,20 +97,12 @@ class ScenarioConfig:
             raise ValueError(f"t_end must be positive, got {self.t_end}")
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
-        if self.kind_uses_mode_index(self.y0) and self.y0.mode > self.n_modes:
-            raise ValueError(f"y0 sine_mode {self.y0.mode} exceeds n_modes={self.n_modes}")
-        if self.kind_uses_mode_index(self.y1) and self.y1.mode > self.n_modes:
-            raise ValueError(f"y1 sine_mode {self.y1.mode} exceeds n_modes={self.n_modes}")
-        if self.kind_uses_mode_index(self.theta0) and self.theta0.mode > self.n_modes:
-            raise ValueError(f"theta0 sine_mode {self.theta0.mode} exceeds n_modes={self.n_modes}")
         for name, prof in (("y0", self.y0), ("y1", self.y1), ("theta0", self.theta0)):
+            if prof.kind == "sine_mode" and prof.mode > self.n_modes:
+                raise ValueError(f"{name} sine_mode {prof.mode} exceeds n_modes={self.n_modes}")
             if prof.kind == "coefficients" and len(prof.coefficients) > self.n_modes:
                 raise ValueError(
                     f"{name}: {len(prof.coefficients)} coefficients exceed n_modes={self.n_modes}")
-
-    @staticmethod
-    def kind_uses_mode_index(profile: InitialProfile) -> bool:
-        return profile.kind == "sine_mode"
 
 
 def _bump_callable(domain: Domain, amplitude: float):
@@ -153,6 +148,10 @@ def build_scenario(config: ScenarioConfig):
         c=profile_coefficients(basis, config.theta0),
     )
     dt = config.dt if config.dt is not None else default_dt(config.params, basis, state0)
+    rows = 2.0 + config.t_end / dt / config.record_every  # a float: t_end / dt may be huge
+    if rows * config.n_modes > MAX_RECORD_VALUES:
+        raise ConfigError("t_end", f"{rows:.3g} records of {config.n_modes} modes at dt = {dt:g} "
+                                   f"exceed the limit of {MAX_RECORD_VALUES:.0e} values")
     stepper = StepperConfig(method=config.method, dt=dt, newton_tol=config.newton_tol,
                             newton_max_iter=config.newton_max_iter)
     return basis, state0, stepper
@@ -652,7 +651,7 @@ def verify_suite(config: ScenarioConfig) -> list[VerifyCheck]:
         "re-run produces byte-identical trajectory CSV")
 
     t_cross = min(1.0, config.t_end)
-    dt_rk = min(stepper.dt, 2.0 / basis.lambda_max)
+    dt_rk = min(stepper.dt, rk4_dt_limit(config.params, basis, state0))
     if t_cross / dt_rk <= 200_000:
         rk = StepperConfig(method="rk4", dt=dt_rk)
         e_mid = simulate(config.params, basis, state0, t_cross, stepper).records.E[-1]

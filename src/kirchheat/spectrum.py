@@ -1,26 +1,29 @@
 """Dirichlet-Laplacian eigenbasis on intervals and rectangles.
 
-Eigenpairs are closed-form sine modes, L2-orthonormal on the domain:
+Both domains are products of intervals (0, L_a), one per axis a, so every
+eigenpair is a product of 1D sine modes, L2-orthonormal on the domain:
 
-    interval (0, L):        e_k(x)    = sqrt(2/L) sin(k pi x / L),
-                            lambda_k  = (k pi / L)^2
-    rectangle (0,Lx)x(0,Ly): tensor products of the 1D modes,
-                            lambda_jk = (j pi / Lx)^2 + (k pi / Ly)^2
+    e_k(x)    = prod_a sqrt(2/L_a) sin(k_a pi x_a / L_a),
+    lambda_k  = sum_a (k_a pi / L_a)^2
 
-All modal projections use composite Gauss-Legendre quadrature whose
-resolution scales with the highest mode index, so the discrete Gram
-matrix of the basis is the identity to near machine precision.
+for a sine index tuple k with one entry per axis. A basis keeps one
+composite Gauss-Legendre rule per axis, whose resolution scales with the
+highest index on that axis. Projections and the Gram check work on the
+tensor grid of those rules one axis at a time, with per-axis sine matrices,
+so no (modes x nodes) matrix is formed, and the discrete Gram matrix of the
+basis is the identity to near machine precision.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
-INTERVAL = "interval"
-RECTANGLE = "rectangle"
+QUAD_ORDER = 10  # Gauss-Legendre points per panel
+AXES = {"interval": 1, "rectangle": 2}
 
 
 @dataclass(frozen=True)
@@ -31,9 +34,9 @@ class Domain:
     lengths: tuple[float, ...]
 
     def __post_init__(self):
-        if self.kind not in (INTERVAL, RECTANGLE):
+        if self.kind not in AXES:
             raise ValueError(f"unknown domain kind {self.kind!r}")
-        expected = 1 if self.kind == INTERVAL else 2
+        expected = AXES[self.kind]
         if len(self.lengths) != expected:
             raise ValueError(
                 f"{self.kind} domain needs {expected} length(s), got {len(self.lengths)}"
@@ -44,20 +47,20 @@ class Domain:
 
     @staticmethod
     def interval(length: float) -> "Domain":
-        return Domain(INTERVAL, (float(length),))
+        return Domain("interval", (float(length),))
 
     @staticmethod
     def rectangle(lx: float, ly: float) -> "Domain":
-        return Domain(RECTANGLE, (float(lx), float(ly)))
+        return Domain("rectangle", (float(lx), float(ly)))
 
     @property
     def dim(self) -> int:
         return len(self.lengths)
 
 
-def _gauss_legendre_composite(length: float, panels: int, order: int):
+def _gauss_legendre_composite(length: float, panels: int):
     """Nodes and weights of `panels` Gauss-Legendre panels on (0, length)."""
-    xg, wg = np.polynomial.legendre.leggauss(order)
+    xg, wg = np.polynomial.legendre.leggauss(QUAD_ORDER)
     edges = np.linspace(0.0, length, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -79,140 +82,106 @@ def _default_panels(length: float, max_index: int) -> int:
 class EigenBasis:
     """First `n_modes` Dirichlet-Laplacian eigenpairs, sorted by eigenvalue.
 
-    `mode_indices[i]` holds the 1- or 2-tuple of sine indices of mode i;
-    degenerate eigenvalues are ordered lexicographically by that tuple.
-    Quadrature nodes/weights are attached so projections and Gram checks
-    use one consistent rule.
+    `mode_indices[i]` holds the sine index tuple of mode i, one entry per
+    axis; degenerate eigenvalues are ordered lexicographically by that
+    tuple. `axis_rules[a]` is the (nodes, weights) quadrature rule of axis
+    a, so projections and Gram checks use one consistent tensor rule.
     """
 
     domain: Domain
     n_modes: int
     lambdas: np.ndarray
     mode_indices: tuple[tuple[int, ...], ...]
-    quad_nodes: np.ndarray = field(repr=False)
-    quad_weights: np.ndarray = field(repr=False)
+    axis_rules: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
 
     def __post_init__(self):
         self.lambdas.setflags(write=False)
-        self.quad_nodes.setflags(write=False)
-        self.quad_weights.setflags(write=False)
+        for nodes, weights in self.axis_rules:
+            nodes.setflags(write=False)
+            weights.setflags(write=False)
 
     @property
     def lambda_max(self) -> float:
         return float(self.lambdas[-1])
 
+    @property
+    def quad_weights(self) -> np.ndarray:
+        """Weights of the tensor rule, flattened with the last axis fastest."""
+        return reduce(np.multiply.outer, [w for _, w in self.axis_rules]).ravel()
 
-def build_basis(domain: Domain, n_modes: int, quad_order: int = 10,
-                panels: int | None = None) -> EigenBasis:
-    """Construct the eigenbasis with its projection quadrature.
+
+def _index_columns(basis: EigenBasis) -> np.ndarray:
+    """Sine indices as an (axes, n_modes) integer array."""
+    return np.array(basis.mode_indices).T
+
+
+def build_basis(domain: Domain, n_modes: int) -> EigenBasis:
+    """Construct the eigenbasis with its per-axis projection quadrature.
 
     Eigenvalues come out sorted ascending, ties broken lexicographically on
-    the sine index tuple. `panels` overrides the per-dimension panel count
-    of the composite Gauss-Legendre rule (default scales with n_modes).
+    the sine index tuple.
     """
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-    if quad_order < 2:
-        raise ValueError(f"quad_order must be >= 2, got {quad_order}")
+    # the n_modes smallest eigenvalues all have every index <= n_modes
+    ks = np.arange(1, n_modes + 1)
+    grid = [g.ravel() for g in np.meshgrid(*[ks] * domain.dim, indexing="ij")]
+    cand = sum((k * math.pi / L) ** 2 for k, L in zip(grid, domain.lengths))
+    # only candidates up to the n_modes-th smallest eigenvalue need sorting
+    keep = cand <= np.partition(cand, n_modes - 1)[n_modes - 1]
+    grid, cand = [k[keep] for k in grid], cand[keep]
+    order = np.lexsort((*grid[::-1], cand))[:n_modes]
+    indices = np.stack([k[order] for k in grid])
+    rules = tuple(_gauss_legendre_composite(L, _default_panels(L, int(k.max())))
+                  for L, k in zip(domain.lengths, indices))
+    return EigenBasis(domain, int(n_modes), cand[order],
+                      tuple(map(tuple, indices.T.tolist())), rules)
 
-    if domain.kind == INTERVAL:
-        (L,) = domain.lengths
-        ks = np.arange(1, n_modes + 1)
-        lambdas = (ks * math.pi / L) ** 2
-        indices = tuple((int(k),) for k in ks)
-        np_panels = panels if panels is not None else _default_panels(L, n_modes)
-        nodes, weights = _gauss_legendre_composite(L, np_panels, quad_order)
-    else:
-        lx, ly = domain.lengths
-        # the n_modes smallest eigenvalues all have j, k <= n_modes
-        cand = [
-            ((j * math.pi / lx) ** 2 + (k * math.pi / ly) ** 2, (j, k))
-            for j in range(1, n_modes + 1)
-            for k in range(1, n_modes + 1)
-        ]
-        cand.sort(key=lambda e: (e[0], e[1]))
-        cand = cand[:n_modes]
-        lambdas = np.array([e[0] for e in cand])
-        indices = tuple(e[1] for e in cand)
-        jmax = max(j for j, _ in indices)
-        kmax = max(k for _, k in indices)
-        px = panels if panels is not None else _default_panels(lx, jmax)
-        py = panels if panels is not None else _default_panels(ly, kmax)
-        nx, wx = _gauss_legendre_composite(lx, px, quad_order)
-        ny, wy = _gauss_legendre_composite(ly, py, quad_order)
-        gx, gy = np.meshgrid(nx, ny, indexing="ij")
-        nodes = np.column_stack([gx.ravel(), gy.ravel()])
-        weights = np.outer(wx, wy).ravel()
 
-    return EigenBasis(domain, int(n_modes), np.asarray(lambdas, dtype=float),
-                      indices, nodes, weights)
+def _sines(length: float, ks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """1D modes sqrt(2/L) sin(k pi x / L) at x in [0, L], shape (len(ks), len(x))."""
+    tol = 1e-12 * max(1.0, length)
+    if x.size and (x.min() < -tol or x.max() > length + tol):
+        raise ValueError("point outside the closure of the domain")
+    return math.sqrt(2.0 / length) * np.sin(np.outer(ks, x) * (math.pi / length))
 
 
 def eigenfunction_values(basis: EigenBasis, points: np.ndarray) -> np.ndarray:
-    """Matrix e_i(points_j), shape (n_modes, n_points)."""
-    pts = np.asarray(points, dtype=float)
-    if basis.domain.kind == INTERVAL:
-        (L,) = basis.domain.lengths
-        if pts.ndim != 1:
-            pts = pts.reshape(-1)
-        _check_in_closure(pts, L)
-        ks = np.array([idx[0] for idx in basis.mode_indices])
-        return math.sqrt(2.0 / L) * np.sin(np.outer(ks, pts) * (math.pi / L))
-    lx, ly = basis.domain.lengths
-    pts = pts.reshape(-1, 2)
-    _check_in_closure(pts[:, 0], lx)
-    _check_in_closure(pts[:, 1], ly)
-    js = np.array([idx[0] for idx in basis.mode_indices])
-    ks = np.array([idx[1] for idx in basis.mode_indices])
-    sx = np.sin(np.outer(js, pts[:, 0]) * (math.pi / lx))
-    sy = np.sin(np.outer(ks, pts[:, 1]) * (math.pi / ly))
-    return 2.0 / math.sqrt(lx * ly) * sx * sy
-
-
-def _check_in_closure(coords: np.ndarray, length: float):
-    tol = 1e-12 * max(1.0, length)
-    if coords.size and (coords.min() < -tol or coords.max() > length + tol):
-        raise ValueError("point outside the closure of the domain")
+    """Matrix e_i(points_j), shape (n_modes, n_points); a point has one
+    coordinate per axis."""
+    pts = np.asarray(points, dtype=float).reshape(-1, basis.domain.dim)
+    return reduce(np.multiply, (_sines(L, ks, x) for L, ks, x in
+                                zip(basis.domain.lengths, _index_columns(basis), pts.T)))
 
 
 def project_initial_data(basis: EigenBasis, fld) -> np.ndarray:
     """Modal coefficients <field, e_k> for every basis mode.
 
-    `fld` is either a callable on domain coordinates (vectorized: one array
-    per dimension) or an array of samples on a uniform grid that includes
+    `fld` is either a callable on domain coordinates (vectorized: one flat
+    array per axis) or an array of samples on a uniform grid that includes
     the boundary: shape (m,) on an interval, (mx, my) on a rectangle, with
     odd sample counts (composite Simpson). Closed-form fields are
     integrated with the basis quadrature.
     """
+    lengths = basis.domain.lengths
+    idx = _index_columns(basis)
+    kmax = idx.max(axis=1)
     if callable(fld):
-        nodes, weights = basis.quad_nodes, basis.quad_weights
-        if basis.domain.kind == INTERVAL:
-            vals = np.asarray(fld(nodes), dtype=float)
-        else:
-            vals = np.asarray(fld(nodes[:, 0], nodes[:, 1]), dtype=float)
-        phi = eigenfunction_values(basis, nodes)
-        return phi @ (weights * vals)
-
-    samples = np.asarray(fld, dtype=float)
-    if basis.domain.kind == INTERVAL:
-        if samples.ndim != 1:
-            raise ValueError("interval samples must be a 1D array")
-        (L,) = basis.domain.lengths
-        kmax = max(idx[0] for idx in basis.mode_indices)
-        w, x = _simpson_grid(samples.shape[0], L, kmax)
-        phi = eigenfunction_values(basis, x)
-        return phi @ (w * samples)
-    if samples.ndim != 2:
-        raise ValueError("rectangle samples must be a 2D array")
-    lx, ly = basis.domain.lengths
-    jmax = max(idx[0] for idx in basis.mode_indices)
-    kmax = max(idx[1] for idx in basis.mode_indices)
-    wx, x = _simpson_grid(samples.shape[0], lx, jmax)
-    wy, y = _simpson_grid(samples.shape[1], ly, kmax)
-    gx, gy = np.meshgrid(x, y, indexing="ij")
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
-    phi = eigenfunction_values(basis, pts)
-    return phi @ (np.outer(wx, wy).ravel() * samples.ravel())
+        axes, weights = zip(*basis.axis_rules)
+        grid = np.meshgrid(*axes, indexing="ij")
+        vals = np.asarray(fld(*(g.ravel() for g in grid)), dtype=float).reshape(grid[0].shape)
+    else:
+        vals = np.asarray(fld, dtype=float)
+        if vals.ndim != len(lengths):
+            raise ValueError(f"{basis.domain.kind} samples must be a {len(lengths)}D array")
+        weights, axes = zip(*(_simpson_grid(n, L, int(k))
+                              for n, L, k in zip(vals.shape, lengths, kmax)))
+    # weights first, then one sine matrix per axis: the contracted axis
+    # leads, and its mode axis moves to the back
+    coeffs = reduce(np.multiply.outer, weights) * vals
+    for L, k, x in zip(lengths, kmax, axes):
+        coeffs = np.moveaxis(_sines(L, np.arange(1, k + 1), x) @ coeffs, 0, -1)
+    return coeffs[tuple(idx - 1)]
 
 
 def _simpson_grid(n: int, length: float, kmax: int):
@@ -241,6 +210,12 @@ def evaluate_field(basis: EigenBasis, coeffs, points) -> np.ndarray:
 
 
 def gram_matrix(basis: EigenBasis) -> np.ndarray:
-    """Gram matrix of the basis under its own quadrature (identity check)."""
-    phi = eigenfunction_values(basis, basis.quad_nodes)
-    return (phi * basis.quad_weights) @ phi.T
+    """Gram matrix of the basis under its own quadrature (identity check):
+    the product over axes of the 1D Gram matrices at the modes' indices."""
+    factors = []
+    for L, ks, (nodes, weights) in zip(basis.domain.lengths, _index_columns(basis),
+                                       basis.axis_rules):
+        s = _sines(L, np.arange(1, ks.max() + 1), nodes)
+        g1 = (s * weights) @ s.T
+        factors.append(g1[np.ix_(ks - 1, ks - 1)])
+    return reduce(np.multiply, factors)

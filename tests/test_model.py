@@ -33,6 +33,10 @@ def test_params_validation():
     for a, b in [(0.0, 1.0), (1.0, 0.0), (1.0, -1.0), (-2.0, 3.0)]:
         with pytest.raises(ValueError, match="same sign"):
             ModelParams(m0=1.0, m1=0.0, alpha=a, beta=b)
+    for name in ("m0", "m1", "alpha", "beta"):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                ModelParams(**{"m0": 1.0, "m1": 0.5, "alpha": 1.0, "beta": 1.0, name: bad})
 
 
 def test_linear_flag():

@@ -243,6 +243,11 @@ def test_sweep_isolates_failed_cells(small_config):
     assert good.error == "" and good.omega > 0.0
 
 
+def test_sweep_names_non_finite_grid_value(small_config):
+    rows, _ = sweep(small_config, {"m1": [math.inf]})
+    assert rows[0].error.startswith("ValueError: m1 must be finite"), rows[0].error
+
+
 def test_sweep_rejects_unknown_axis(small_config):
     with pytest.raises(ValueError, match="axis"):
         sweep(small_config, {"gamma": [1.0]})
@@ -272,6 +277,20 @@ def test_verify_suite_passes(small_config):
     assert failed == [], [f"{c.name}: {c.detail}" for c in failed]
 
 
+def test_verify_suite_reports_every_check_on_coupled_bump():
+    """alpha = beta = 2 with a bump velocity excites every odd mode; the
+    RK4 cross-check must stay inside its stability region and report."""
+    cfg = config_from_dict(small_dict(
+        n_modes=16, params={"m0": 1.0, "m1": 0.5, "alpha": 2.0, "beta": 2.0},
+        initial={"y0": {"kind": "sine_mode", "mode": 1, "amplitude": 0.3},
+                 "y1": {"kind": "bump", "amplitude": 0.3}},
+        stepper={"dt": 0.01}, t_end=5.0), source="<test>")
+    checks = verify_suite(cfg)
+    assert len(checks) == 10
+    cross = [c for c in checks if c.name == "cross_integrator"][0]
+    assert cross.passed, cross.detail
+
+
 def write_config(tmp_path, **overrides):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(small_dict(**overrides)))
@@ -294,10 +313,13 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
 
 
 def test_cli_infinite_t_end_exits_2(tmp_path, capsys):
-    cfg = write_config(tmp_path, t_end=math.inf)  # serialized as JSON Infinity
-    assert main(["simulate", str(cfg), "--outdir", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert "t_end" in err and "Traceback" not in err
+    # inf is serialized as JSON Infinity; 1e15 is finite but its records
+    # would not fit in memory
+    for t_end in (math.inf, 1e15):
+        cfg = write_config(tmp_path, t_end=t_end)
+        assert main(["simulate", str(cfg), "--outdir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "t_end" in err and "Traceback" not in err
 
 
 def test_cli_divergence_exits_3(tmp_path, capsys):

@@ -19,6 +19,7 @@ from kirchheat import (
     step,
     zero_state,
 )
+from kirchheat.timeloop import rk4_dt_limit
 
 BASIS_1 = build_basis(Domain.interval(math.pi), 1)
 BASIS_4 = build_basis(Domain.interval(math.pi), 4)
@@ -110,6 +111,22 @@ def test_rk4_stability_guard():
     cfg = StepperConfig(method="rk4", dt=1.0)  # dt * lambda_max = 16
     with pytest.raises(ValueError, match="rk4 unstable"):
         simulate(NONLIN, BASIS_4, small_state(BASIS_4), 2.0, cfg)
+
+
+def test_rk4_limit_accounts_for_coupling():
+    """With alpha = beta = 2 the top mode's eigenvalues reach |mu| ~ 2
+    lambda_max, so the limit lies well below 2.5 / lambda_max; RK4 runs
+    stably at it and is refused at 2 / lambda_max."""
+    coupled = ModelParams(m0=1.0, m1=0.5, alpha=2.0, beta=2.0)
+    state0 = small_state(BASIS_4)
+    limit = rk4_dt_limit(coupled, BASIS_4, state0)
+    assert limit < 1.5 / BASIS_4.lambda_max
+    traj = simulate(coupled, BASIS_4, state0, 2.0, StepperConfig(method="rk4", dt=limit),
+                    record_every=10)
+    assert np.isfinite(traj.states.h).all() and traj.records.E[-1] < traj.records.E[0]
+    with pytest.raises(ValueError, match="rk4 unstable"):
+        simulate(coupled, BASIS_4, state0, 2.0,
+                 StepperConfig(method="rk4", dt=2.0 / BASIS_4.lambda_max))
 
 
 def test_energy_never_increases_beyond_tolerance():
