@@ -6,7 +6,7 @@ Two steppers:
   wave period of interest, not by the stiff heat modes. Each step solves the
   midpoint system exactly per mode; the only nonlinearity is the scalar
   Kirchhoff coefficient, which is resolved by fixed-point iteration. The
-  linear (m1 = 0) problem converges in one pass.
+  linear (m1 = 0) problem needs no iteration.
 * ``rk4``: classical explicit Runge-Kutta, for convergence studies. Its
   stability region holds the left half-disk of radius 2.6, so the step is
   limited to dt * rho <= 2.5, with rho the spectral radius of the top
@@ -16,6 +16,13 @@ Both steppers accumulate the dissipation integral int_0^t E' ds alongside the
 state (midpoint: the exact discrete flux dt * D(midpoint); RK4: the same
 Runge-Kutta quadrature as the state). Re-integrating that quantity from
 thinned records afterwards is too lossy for the a-priori identity check.
+
+A stepper is built once per (run, dt) by `_stepper`, which forms every
+per-mode coefficient up front and returns a kernel `advance(x, t)` that
+steps the state as one (3, N) block x = [h; v; c]. `simulate` builds one
+kernel for dt, and a second one only for a shortened last step, and writes
+its records into one (R, 3, N) block; `step` builds a kernel and applies it
+once, so both go through the same code.
 """
 
 from __future__ import annotations
@@ -66,7 +73,8 @@ class Trajectory:
     """Thinned simulation output, stacked along a leading record axis:
     `states` (t of shape (R,), h, v, c of shape (R, N)) and `records`
     (fields of shape (R,)) share the R sample times: every
-    record_every-th step, plus t = 0 and t = t_end."""
+    record_every-th step, plus t = 0 and t = t_end. The h, v, c of a
+    simulated run are views of one (R, 3, N) block."""
 
     params: ModelParams
     basis: EigenBasis
@@ -97,9 +105,9 @@ def default_dt(params: ModelParams, basis: EigenBasis, state: ModalState) -> flo
     return 0.1 / math.sqrt(phi * basis.lambda_max)
 
 
-def _midpoint_step(params: ModelParams, basis: EigenBasis, state: ModalState,
-                   dt: float, tol: float, max_iter: int):
-    """One implicit-midpoint step via exact per-mode solves.
+def _midpoint_stepper(params: ModelParams, lam: np.ndarray, dt: float,
+                      tol: float, max_iter: int):
+    """Implicit-midpoint kernel for step size `dt`, with exact per-mode solves.
 
     With a = dt/2 and phi frozen, the midpoint system per mode is linear:
 
@@ -107,99 +115,115 @@ def _midpoint_step(params: ModelParams, basis: EigenBasis, state: ModalState,
         a phi lam m_h + m_v - a alpha lam m_c = v
         a beta lam m_v + (1 + a lam) m_c  = c
 
-    Cramer's rule gives m = n / det with det = d0 + d1 phi and n_h
-    independent of phi, so the fixed point runs on the scalar phi alone.
+    Cramer's rule gives m = (P b + phi Q b) / det, with b = (h, v, c),
+    det = d0 + d1 phi and Q's h row zero, so the fixed point runs on the
+    scalar phi alone. P, Q, d0, d1 and the flux weights depend only on the
+    run and dt, so they are built here once.
     """
-    lam = basis.lambdas
     a = 0.5 * dt
     s_ = 1.0 + a * lam
     q = a * params.alpha * lam
     r_ = a * params.beta * lam
+    zero, one = np.zeros_like(lam), np.ones_like(lam)
+    # (6, 3, N): rows P_h, P_v, P_c, Q_h, Q_v, Q_c; columns act on (h, v, c)
+    numer = np.array([
+        [s_ + q * r_, a * s_, a * q],
+        [zero, s_, q],
+        [zero, -r_, one],
+        [zero, zero, zero],
+        [-a * lam * s_, zero, zero],
+        [a * lam * r_, zero, a * a * lam],
+    ])
     d0 = s_ + a * a * params.alpha * params.beta * lam * lam
     d1 = a * a * lam * s_
+    flux = -dt * (params.alpha / params.beta) * lam  # exact discrete heat flux
+    m0, m1 = params.m0, params.m1
 
-    b1, b2, b3 = state.h, state.v, state.c
-    n_h = (s_ + q * r_) * b1 + a * s_ * b2 + a * q * b3
+    def advance(x: np.ndarray, t: float):
+        n = np.einsum("ijn,jn->in", numer, x)
+        n_h = n[0]
+        phi = m0  # the linear (m1 = 0) solve needs no iteration
+        if m1 != 0.0:
+            phi += m1 * float(lam @ (x[0] * x[0]))
+            converged = False
+            for _ in range(max_iter):
+                m_h = n_h / (d0 + d1 * phi)
+                phi_new = m0 + m1 * float(lam @ (m_h * m_h))
+                resid = abs(phi_new - phi)
+                phi = phi_new
+                if resid <= tol * max(1.0, abs(phi)):
+                    converged = True
+                    break
+            if not converged:
+                raise SolverDivergenceError(
+                    f"midpoint iteration stalled at t={t:.6g} (residual {resid:.3e})",
+                    residual=resid, t=t)
+        mid = (n[:3] + phi * n[3:]) / (d0 + d1 * phi)
+        x_new = 2.0 * mid - x
+        if not np.isfinite(x_new).all():
+            raise FloatingPointError(f"non-finite state after step at t={t:.6g}")
+        return x_new, float(flux @ (mid[2] * mid[2]))
 
-    phi = kirchhoff_coefficient(params, grad_norm_sq(basis, state.h))
-    if params.linear:
-        det = d0 + d1 * phi
-        m_h = n_h / det
-    else:
-        converged = False
-        for _ in range(max_iter):
-            det = d0 + d1 * phi
-            m_h = n_h / det
-            s_mid = float(lam @ (m_h * m_h))
-            phi_new = params.m0 + params.m1 * s_mid
-            resid = abs(phi_new - phi)
-            phi = phi_new
-            if resid <= tol * max(1.0, abs(phi)):
-                converged = True
-                break
-        if not converged:
-            raise SolverDivergenceError(
-                f"midpoint iteration stalled at t={state.t:.6g} (residual {resid:.3e})",
-                residual=resid, t=state.t)
-        det = d0 + d1 * phi
-        m_h = n_h / det
-
-    m_v = (s_ * b2 + q * b3 - phi * a * lam * s_ * b1) / det
-    m_c = (b3 - r_ * b2 + phi * a * lam * (r_ * b1 + a * b3)) / det
-
-    h_new = 2.0 * m_h - b1
-    v_new = 2.0 * m_v - b2
-    c_new = 2.0 * m_c - b3
-    if not (np.isfinite(h_new).all() and np.isfinite(v_new).all() and np.isfinite(c_new).all()):
-        raise FloatingPointError(f"non-finite state after step at t={state.t:.6g}")
-    # exact discrete heat flux of the midpoint scheme
-    d_inc = -dt * (params.alpha / params.beta) * float(lam @ (m_c * m_c))
-    return ModalState(t=state.t + dt, h=h_new, v=v_new, c=c_new), d_inc
+    return advance
 
 
-def _rk4_step(params: ModelParams, basis: EigenBasis, state: ModalState, dt: float):
-    lam = basis.lambdas
+def _rk4_stepper(params: ModelParams, lam: np.ndarray, dt: float):
+    """Classical RK4 kernel for step size `dt`; the dissipation integral is
+    advanced by the same Runge-Kutta quadrature as the state."""
+    m0, m1 = params.m0, params.m1
     ab = params.alpha / params.beta
+    alpha_lam = params.alpha * lam
+    beta_lam = params.beta * lam
+    half, sixth = 0.5 * dt, dt / 6.0
 
-    def f(h, v, c):
-        phi = params.m0 + params.m1 * float(lam @ (h * h))
-        return v, -phi * lam * h + params.alpha * lam * c, -lam * c - params.beta * lam * v
+    def f(x):
+        h, v, c = x
+        phi = m0 + m1 * float(lam @ (h * h))
+        return np.stack((v, -phi * lam * h + alpha_lam * c, -lam * c - beta_lam * v))
 
-    def d_of(c):
-        return -ab * float(lam @ (c * c))
+    def d_of(x):
+        return -ab * float(lam @ (x[2] * x[2]))
 
-    h, v, c = state.h, state.v, state.c
-    k1 = f(h, v, c)
-    d1 = d_of(c)
-    s2 = (h + 0.5 * dt * k1[0], v + 0.5 * dt * k1[1], c + 0.5 * dt * k1[2])
-    k2 = f(*s2)
-    d2 = d_of(s2[2])
-    s3 = (h + 0.5 * dt * k2[0], v + 0.5 * dt * k2[1], c + 0.5 * dt * k2[2])
-    k3 = f(*s3)
-    d3 = d_of(s3[2])
-    s4 = (h + dt * k3[0], v + dt * k3[1], c + dt * k3[2])
-    k4 = f(*s4)
-    d4 = d_of(s4[2])
+    def advance(x: np.ndarray, t: float):
+        k1 = f(x)
+        x2 = x + half * k1
+        k2 = f(x2)
+        x3 = x + half * k2
+        k3 = f(x3)
+        x4 = x + dt * k3
+        x_new = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + f(x4))
+        if not np.isfinite(x_new).all():
+            raise FloatingPointError(f"non-finite state after step at t={t:.6g}")
+        return x_new, sixth * (d_of(x) + 2.0 * d_of(x2) + 2.0 * d_of(x3) + d_of(x4))
 
-    h_new = h + dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-    v_new = v + dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-    c_new = c + dt / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-    if not (np.isfinite(h_new).all() and np.isfinite(v_new).all() and np.isfinite(c_new).all()):
-        raise FloatingPointError(f"non-finite state after step at t={state.t:.6g}")
-    d_inc = dt / 6.0 * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-    return ModalState(t=state.t + dt, h=h_new, v=v_new, c=c_new), d_inc
+    return advance
+
+
+def _stepper(params: ModelParams, basis: EigenBasis, method: str, dt: float,
+             tol: float, max_iter: int):
+    """The step kernel `advance(x, t) -> (x_new, d_inc)` for one (run, dt).
+
+    `x` is the (3, N) block of rows h, v, c at time t (used only in error
+    messages); `d_inc` is the increment of the dissipation integral.
+    """
+    if method == "implicit_midpoint":
+        return _midpoint_stepper(params, basis.lambdas, dt, tol, max_iter)
+    return _rk4_stepper(params, basis.lambdas, dt)
 
 
 def step(params: ModelParams, basis: EigenBasis, state: ModalState,
          config: StepperConfig, dt: float | None = None):
     """Advance one step of size `dt` (default config.dt). Returns the new
-    state and the increment of the dissipation integral over the step."""
+    state and the increment of the dissipation integral over the step.
+
+    Builds the kernel for this step and applies it once; `simulate` builds
+    one kernel per run instead."""
     if dt is None:
         dt = config.dt
-    if config.method == "implicit_midpoint":
-        return _midpoint_step(params, basis, state, dt,
-                              config.newton_tol, config.newton_max_iter)
-    return _rk4_step(params, basis, state, dt)
+    advance = _stepper(params, basis, config.method, dt,
+                       config.newton_tol, config.newton_max_iter)
+    x, d_inc = advance(np.array((state.h, state.v, state.c), dtype=float), state.t)
+    return ModalState(t=state.t + dt, h=x[0], v=x[1], c=x[2]), d_inc
 
 
 def simulate(params: ModelParams, basis: EigenBasis, state0: ModalState,
@@ -232,31 +256,30 @@ def simulate(params: ModelParams, basis: EigenBasis, state0: ModalState,
     n_rec = 2 + n_full // record_every
     if dt_last == 0.0 and n_full > 0 and n_full % record_every == 0:
         n_rec -= 1
-    shape = (n_rec, basis.n_modes)
-    rows = ModalState(np.empty(n_rec), np.empty(shape), np.empty(shape), np.empty(shape))
+    rows = np.empty((n_rec, 3, basis.n_modes))
+    times = np.empty(n_rec)
     diss = np.empty(n_rec)
 
-    def keep(i, state, acc):
-        rows.t[i], rows.h[i], rows.v[i], rows.c[i], diss[i] = (
-            state.t, state.h, state.v, state.c, acc)
-
-    state = state0
+    t0, dt = state0.t, config.dt
+    x = np.array((state0.h, state0.v, state0.c), dtype=float)
     acc = 0.0
-    keep(0, state, acc)
+    times[0], rows[0], diss[0] = t0, x, acc
     i = 1
-    t0 = state0.t
+    advance = _stepper(params, basis, config.method, dt,
+                       config.newton_tol, config.newton_max_iter)
     for n in range(1, n_full + 1):
-        state, d_inc = step(params, basis, state, config)
-        state.t = t0 + n * config.dt  # avoid accumulated roundoff in t
+        x, d_inc = advance(x, t0 + (n - 1) * dt)
         acc += d_inc
         if n % record_every == 0 and i < n_rec - 1:  # the last row is t_end's
-            keep(i, state, acc)
+            times[i], rows[i], diss[i] = t0 + n * dt, x, acc  # t without roundoff drift
             i += 1
     if dt_last > 0.0:
-        state, d_inc = step(params, basis, state, config, dt=dt_last)
+        advance = _stepper(params, basis, config.method, dt_last,
+                           config.newton_tol, config.newton_max_iter)
+        x, d_inc = advance(x, t0 + n_full * dt)
         acc += d_inc
-    keep(n_rec - 1, state, acc)
-    rows.t[-1] = t_end
-    return Trajectory(params=params, basis=basis, config=config, states=rows,
-                      records=energy(params, basis, rows, diss_int=diss),
+    times[-1], rows[-1], diss[-1] = t_end, x, acc
+    states = ModalState(times, rows[:, 0], rows[:, 1], rows[:, 2])
+    return Trajectory(params=params, basis=basis, config=config, states=states,
+                      records=energy(params, basis, states, diss_int=diss),
                       n_steps=n_full + (1 if dt_last > 0.0 else 0))

@@ -322,6 +322,15 @@ def test_cli_infinite_t_end_exits_2(tmp_path, capsys):
         assert "t_end" in err and "Traceback" not in err
 
 
+def test_step_budget_is_a_t_end_error():
+    # sparse records pass the records limit, but 1e15 steps at dt = 1e-3
+    # would run without bound
+    cfg = config_from_dict(small_dict(t_end=1e12, record_every=10**12), source="<test>")
+    with pytest.raises(ConfigError, match="steps") as err:
+        build_scenario(cfg)
+    assert err.value.path == "t_end"
+
+
 def test_cli_divergence_exits_3(tmp_path, capsys):
     cfg = write_config(
         tmp_path, t_end=5.0,

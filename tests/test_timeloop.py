@@ -215,3 +215,102 @@ def test_rk4_midpoint_cross_agreement():
     mid = simulate(NONLIN, BASIS_4, state0, 1.0, StepperConfig(dt=5e-4))
     rk = simulate(NONLIN, BASIS_4, state0, 1.0, StepperConfig(method="rk4", dt=5e-4))
     assert abs(mid.records.E[-1] - rk.records.E[-1]) <= 1e-7 * mid.records.E[0]
+
+
+def cramer_midpoint_step(params, basis, state, dt, tol=1e-12, max_iter=50):
+    """One implicit-midpoint step by the per-mode Cramer formulas, written
+    out term by term, with the fixed point on the scalar phi."""
+    lam = basis.lambdas
+    a = 0.5 * dt
+    s_ = 1.0 + a * lam
+    q = a * params.alpha * lam
+    r_ = a * params.beta * lam
+    d0 = s_ + a * a * params.alpha * params.beta * lam * lam
+    d1 = a * a * lam * s_
+    b1, b2, b3 = state.h, state.v, state.c
+    n_h = (s_ + q * r_) * b1 + a * s_ * b2 + a * q * b3
+    phi = params.m0 + params.m1 * float(lam @ (b1 * b1))
+    for _ in range(max_iter):
+        m_h = n_h / (d0 + d1 * phi)
+        phi_new = params.m0 + params.m1 * float(lam @ (m_h * m_h))
+        done = abs(phi_new - phi) <= tol * max(1.0, abs(phi_new))
+        phi = phi_new
+        if done:
+            break
+    det = d0 + d1 * phi
+    m_h = n_h / det
+    m_v = (s_ * b2 + q * b3 - phi * a * lam * s_ * b1) / det
+    m_c = (b3 - r_ * b2 + phi * a * lam * (r_ * b1 + a * b3)) / det
+    d_inc = -dt * (params.alpha / params.beta) * float(lam @ (m_c * m_c))
+    return np.array([2.0 * m_h - b1, 2.0 * m_v - b2, 2.0 * m_c - b3]), d_inc
+
+
+KERNEL_CASES = [
+    (Domain.interval(math.pi), 8, LIN),
+    (Domain.interval(math.pi), 8, NONLIN),
+    (Domain.rectangle(1.0, 1.7), 9, LIN),
+    (Domain.rectangle(1.0, 1.7), 9, ModelParams(m0=0.8, m1=0.7, alpha=-1.5, beta=-0.5)),
+]
+
+
+@pytest.mark.parametrize("domain,n,params", KERNEL_CASES)
+def test_kernel_matches_cramer_formulas(domain, n, params):
+    basis = build_basis(domain, n)
+    state = small_state(basis, seed=11)
+    dt = 0.1 / math.sqrt(basis.lambda_max)
+    new, d_inc = step(params, basis, state, StepperConfig(dt=dt))
+    want, d_want = cramer_midpoint_step(params, basis, state, dt)
+    got = np.array([new.h, new.v, new.c])
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    assert d_inc == pytest.approx(d_want, rel=1e-14)
+    assert new.t == dt
+
+
+@pytest.mark.parametrize("method", ["implicit_midpoint", "rk4"])
+@pytest.mark.parametrize("domain,n,params", KERNEL_CASES)
+def test_simulate_equals_repeated_step(domain, n, params, method):
+    basis = build_basis(domain, n)
+    state = small_state(basis, seed=12)
+    dt = 0.5 / basis.lambda_max
+    cfg = StepperConfig(method=method, dt=dt)
+    k = 7
+    traj = simulate(params, basis, state, k * dt, cfg)
+    assert traj.n_steps == k and traj.records.t.size == k + 1
+    acc = 0.0
+    for i in range(1, k + 1):
+        state, d_inc = step(params, basis, state, cfg)
+        acc += d_inc
+        assert np.array_equal(traj.states.h[i], state.h)
+        assert np.array_equal(traj.states.v[i], state.v)
+        assert np.array_equal(traj.states.c[i], state.c)
+        assert traj.records.diss_int[i] == acc
+
+
+@pytest.mark.parametrize("method", ["implicit_midpoint", "rk4"])
+def test_shortened_last_step_lands_on_t_end(method):
+    basis = build_basis(Domain.rectangle(1.0, 1.7), 9)
+    state = small_state(basis, seed=13)
+    dt = 0.5 / basis.lambda_max
+    t_end = 3.4 * dt
+    cfg = StepperConfig(method=method, dt=dt)
+    traj = simulate(NONLIN, basis, state, t_end, cfg)
+    assert traj.n_steps == 4 and traj.records.t[-1] == t_end
+    for _ in range(3):
+        state, _ = step(NONLIN, basis, state, cfg)
+    last, _ = step(NONLIN, basis, state, cfg, dt=t_end - 3 * dt)
+    assert np.array_equal(traj.states.h[-1], last.h)
+    assert np.array_equal(traj.states.c[-1], last.c)
+    assert last.t == pytest.approx(t_end, rel=1e-15)
+
+
+@pytest.mark.parametrize("method", ["implicit_midpoint", "rk4"])
+def test_endpoint_records_keep_final_energy(method):
+    """record_every = the step count keeps only the two endpoint rows, and
+    the final energy is the full-record run's, bit for bit."""
+    state0 = small_state(BASIS_4, seed=14)
+    cfg = StepperConfig(method=method, dt=1e-2)
+    full = simulate(NONLIN, BASIS_4, state0, 1.0, cfg)
+    ends = simulate(NONLIN, BASIS_4, state0, 1.0, cfg, record_every=full.n_steps)
+    assert ends.records.t.size == 2 and full.records.t.size == 101
+    assert ends.records.E[-1] == full.records.E[-1]
+    assert ends.records.diss_int[-1] == full.records.diss_int[-1]
