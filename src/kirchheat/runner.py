@@ -313,10 +313,10 @@ def format_float(x: float) -> str:
 
 
 def csv_text(records) -> str:
-    table = np.column_stack([getattr(records, col) for col in CSV_COLUMNS]).tolist()
-    lines = [",".join(CSV_COLUMNS)]
-    lines += [",".join(map(format_float, row)) for row in table]
-    return "\n".join(lines) + "\n"
+    # one "%.17g" per value is format_float once -0.0 + 0.0 has made it 0.0
+    table = np.column_stack([getattr(records, col) for col in CSV_COLUMNS]) + 0.0
+    row = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"
+    return ",".join(CSV_COLUMNS) + "\n" + (row * len(table)) % tuple(table.ravel().tolist())
 
 
 def write_trajectory_csv(records, path: Path) -> None:

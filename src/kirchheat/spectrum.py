@@ -12,13 +12,22 @@ highest index on that axis. Projections and the Gram check work on the
 tensor grid of those rules one axis at a time, with per-axis sine matrices,
 so no (modes x nodes) matrix is formed, and the discrete Gram matrix of the
 basis is the identity to near machine precision.
+
+The N smallest eigenvalues are picked from O(N) candidate tuples, not from
+all N^d. A box of m_a = ceil(L_a (N / prod L)^(1/d)) indices per axis holds
+at least N tuples, so its largest eigenvalue Lambda = sum_a (m_a pi / L_a)^2
+is at least lambda_N. Every tuple with eigenvalue <= Lambda has
+k_a < L_a sqrt(Lambda) / pi on each axis, so only the indices
+k_a <= min(N, int(L_a sqrt(Lambda) / pi) + 1) are enumerated; the + 1
+absorbs rounding. By Weyl's law that is about 2N tuples on a square (about 3N
+on thin rectangles), and on an interval the box is simply N.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -58,9 +67,19 @@ class Domain:
         return len(self.lengths)
 
 
+@cache
+def _gauss_legendre_rule():
+    """The QUAD_ORDER-point Gauss-Legendre rule on (-1, 1), computed once
+    per process and shared read-only."""
+    xg, wg = np.polynomial.legendre.leggauss(QUAD_ORDER)
+    xg.setflags(write=False)
+    wg.setflags(write=False)
+    return xg, wg
+
+
 def _gauss_legendre_composite(length: float, panels: int):
     """Nodes and weights of `panels` Gauss-Legendre panels on (0, length)."""
-    xg, wg = np.polynomial.legendre.leggauss(QUAD_ORDER)
+    xg, wg = _gauss_legendre_rule()
     edges = np.linspace(0.0, length, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -123,17 +142,23 @@ def build_basis(domain: Domain, n_modes: int) -> EigenBasis:
     """
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-    # the n_modes smallest eigenvalues all have every index <= n_modes
-    ks = np.arange(1, n_modes + 1)
-    grid = [g.ravel() for g in np.meshgrid(*[ks] * domain.dim, indexing="ij")]
-    cand = sum((k * math.pi / L) ** 2 for k, L in zip(grid, domain.lengths))
+    # candidate indices per axis from the box bound in the module docstring,
+    # with root = sqrt(Lambda) / pi; scale is formed from logs so that no
+    # product of lengths overflows or underflows
+    lengths = domain.lengths
+    scale = math.exp((math.log(n_modes) - sum(map(math.log, lengths))) / domain.dim)
+    root = math.hypot(*(math.ceil(L * scale) / L for L in lengths))
+    kmax = [int(min(L * root, n_modes - 1)) + 1 for L in lengths]
+    grid = [g.ravel() for g in np.meshgrid(*[np.arange(1, k + 1) for k in kmax],
+                                           indexing="ij")]
+    cand = sum((k * math.pi / L) ** 2 for k, L in zip(grid, lengths))
     # only candidates up to the n_modes-th smallest eigenvalue need sorting
     keep = cand <= np.partition(cand, n_modes - 1)[n_modes - 1]
     grid, cand = [k[keep] for k in grid], cand[keep]
     order = np.lexsort((*grid[::-1], cand))[:n_modes]
     indices = np.stack([k[order] for k in grid])
     rules = tuple(_gauss_legendre_composite(L, _default_panels(L, int(k.max())))
-                  for L, k in zip(domain.lengths, indices))
+                  for L, k in zip(lengths, indices))
     return EigenBasis(domain, int(n_modes), cand[order],
                       tuple(map(tuple, indices.T.tolist())), rules)
 
@@ -217,5 +242,5 @@ def gram_matrix(basis: EigenBasis) -> np.ndarray:
                                        basis.axis_rules):
         s = _sines(L, np.arange(1, ks.max() + 1), nodes)
         g1 = (s * weights) @ s.T
-        factors.append(g1[np.ix_(ks - 1, ks - 1)])
+        factors.append(g1[ks - 1][:, ks - 1])
     return reduce(np.multiply, factors)

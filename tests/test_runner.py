@@ -7,6 +7,7 @@ import pytest
 
 from kirchheat import (
     ConfigError,
+    EnergyRecord,
     build_scenario,
     config_from_dict,
     convergence_study,
@@ -151,6 +152,24 @@ def test_csv_contract(tmp_path, small_config):
 def test_format_float_round_trip():
     for x in [0.0, 1.0, math.pi, 1e-17, -2.5e300, 1 / 3]:
         assert float(format_float(x)) == x
+
+
+def test_csv_text_matches_format_float():
+    """The table-wide format string writes every value as format_float does,
+    including signed zeros, NaN, infinities and subnormals."""
+    special = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+               1e-310, 2.2250738585072014e-308, 1.7976931348623157e308, 1 / 3, 1e16]
+    rng = np.random.default_rng(5)
+    for rows in (0, 1, 40):
+        cols = {c: rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+                for c in CSV_COLUMNS}
+        if rows == 40:
+            for i, c in enumerate(CSV_COLUMNS):
+                cols[c][:len(special)] = np.roll(special, i)
+        records = EnergyRecord(**cols)
+        lines = [",".join(CSV_COLUMNS)]
+        lines += [",".join(format_float(cols[c][r]) for c in CSV_COLUMNS) for r in range(rows)]
+        assert csv_text(records) == "\n".join(lines) + "\n"
 
 
 def test_run_determinism(tmp_path, small_config):

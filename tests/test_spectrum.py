@@ -12,6 +12,7 @@ from kirchheat import (
     evaluate_field,
     gram_matrix,
     project_initial_data,
+    spectrum,
 )
 
 
@@ -222,3 +223,68 @@ def test_gram_matches_pointwise_formula(domain, n):
     phi = eigenfunction_values(basis, dense_grid([nodes for nodes, _ in basis.axis_rules]))
     dense = (phi * basis.quad_weights) @ phi.T
     assert np.abs(gram_matrix(basis) - dense).max() <= 1e-14
+
+
+def all_pairs_basis(domain, n):
+    """The n smallest eigenpairs and their quadrature rules, from every index
+    tuple with all k_a <= n, ties broken lexicographically on the tuple."""
+    ks = np.arange(1, n + 1)
+    grid = [g.ravel() for g in np.meshgrid(*[ks] * domain.dim, indexing="ij")]
+    cand = sum((k * math.pi / L) ** 2 for k, L in zip(grid, domain.lengths))
+    order = np.lexsort((*grid[::-1], cand))[:n]
+    indices = [k[order] for k in grid]
+    xg, wg = np.polynomial.legendre.leggauss(spectrum.QUAD_ORDER)
+    rules = []
+    for L, k in zip(domain.lengths, indices):
+        panels = max(math.ceil(8.0 * L / math.pi), math.ceil(0.75 * int(k.max())), 1)
+        edges = np.linspace(0.0, L, panels + 1)
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        half = 0.5 * (edges[1:] - edges[:-1])
+        rules.append(((mid[:, None] + half[:, None] * xg[None, :]).ravel(),
+                      (half[:, None] * wg[None, :]).ravel()))
+    return cand[order], tuple(zip(*(k.tolist() for k in indices))), rules
+
+
+SQUARES = [Domain.rectangle(math.pi, math.pi), Domain.rectangle(1.0, 1.0)]
+ENUMERATION_DOMAINS = [
+    Domain.interval(math.pi), Domain.interval(1.3), *SQUARES,
+    Domain.rectangle(10.0, 0.1), Domain.rectangle(0.05, 20.0),
+    *(Domain.rectangle(*ls) for ls in np.random.default_rng(7).uniform(0.2, 5.0, (3, 2))),
+]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 50, 192, 333])
+@pytest.mark.parametrize("domain", ENUMERATION_DOMAINS, ids=lambda d: repr(d.lengths))
+def test_build_basis_matches_full_enumeration(domain, n):
+    """Enumerating only the indices under the box bound picks the same modes,
+    in the same order, with the same quadrature, as every tuple with k_a <= n."""
+    lambdas, indices, rules = all_pairs_basis(domain, n)
+    basis = build_basis(domain, n)
+    assert basis.lambdas.tobytes() == lambdas.tobytes()
+    assert basis.mode_indices == indices
+    for (nodes, weights), (ref_nodes, ref_weights) in zip(basis.axis_rules, rules, strict=True):
+        assert nodes.tobytes() == ref_nodes.tobytes()
+        assert weights.tobytes() == ref_weights.tobytes()
+
+
+@pytest.mark.parametrize("domain", SQUARES, ids=lambda d: repr(d.lengths))
+def test_enumeration_cases_cut_tied_eigenvalues(domain):
+    """On the squares, n = 2 and n = 7 keep one tuple of a tied pair and drop
+    the other, so the comparison above covers the tie-break at the cut."""
+    lambdas = all_pairs_basis(domain, 8)[0]
+    assert lambdas[1] == lambdas[2] and lambdas[6] == lambdas[7]
+
+
+def test_gauss_legendre_rule_is_cached_and_read_only():
+    xg, wg = spectrum._gauss_legendre_rule()
+    assert spectrum._gauss_legendre_rule()[0] is xg
+    ref_x, ref_w = np.polynomial.legendre.leggauss(spectrum.QUAD_ORDER)
+    assert xg.tobytes() == ref_x.tobytes() and wg.tobytes() == ref_w.tobytes()
+    for arr in (xg, wg):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    a, b = (build_basis(Domain.rectangle(1.0, 1.7), 12) for _ in range(2))
+    for (xa, wa), (xb, wb) in zip(a.axis_rules, b.axis_rules, strict=True):
+        np.testing.assert_array_equal(xa, xb)
+        np.testing.assert_array_equal(wa, wb)
+        assert xa is not xb and wa is not wb
