@@ -70,6 +70,7 @@ from .spectrum import (
 )
 from .timeloop import (
     SolverDivergenceError,
+    SolverStats,
     StepperConfig,
     Trajectory,
     default_dt,

@@ -11,7 +11,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,8 @@ from .diagnostics import (
 )
 from .model import ModalState, ModelParams
 from .spectrum import Domain, EigenBasis, build_basis, project_initial_data
-from .timeloop import StepperConfig, Trajectory, default_dt, rk4_dt_limit, simulate
+from .timeloop import (StepperConfig, Trajectory, check_rk4_dt, default_dt, rk4_dt_limit,
+                       simulate)
 
 SPEC_VERSION = 1
 # most record values (rows x n_modes) a scenario may preallocate; its three
@@ -143,7 +144,10 @@ def profile_coefficients(basis: EigenBasis, profile: InitialProfile) -> np.ndarr
 
 def build_scenario(config: ScenarioConfig):
     """Materialize (basis, initial state, stepper) from a config."""
-    basis = build_basis(config.domain, config.n_modes)
+    try:
+        basis = build_basis(config.domain, config.n_modes)
+    except ValueError as exc:  # lengths so far from 1 that no basis can be built
+        raise ConfigError("domain", str(exc)) from exc
     state0 = ModalState(
         t=0.0,
         h=profile_coefficients(basis, config.y0),
@@ -151,6 +155,13 @@ def build_scenario(config: ScenarioConfig):
         c=profile_coefficients(basis, config.theta0),
     )
     dt = config.dt if config.dt is not None else default_dt(config.params, basis, state0)
+    try:
+        stepper = StepperConfig(method=config.method, dt=dt, newton_tol=config.newton_tol,
+                                newton_max_iter=config.newton_max_iter)
+        if stepper.method == "rk4":
+            check_rk4_dt(config.params, basis, state0, dt)
+    except ValueError as exc:
+        raise ConfigError("stepper", str(exc)) from exc
     rows = 2.0 + config.t_end / dt / config.record_every  # a float: t_end / dt may be huge
     if rows * config.n_modes > MAX_RECORD_VALUES:
         raise ConfigError("t_end", f"{rows:.3g} records of {config.n_modes} modes at dt = {dt:g} "
@@ -158,8 +169,6 @@ def build_scenario(config: ScenarioConfig):
     if config.t_end / dt > MAX_STEPS:
         raise ConfigError("t_end", f"{config.t_end / dt:.3g} steps at dt = {dt:g} exceed "
                                    f"the limit of {MAX_STEPS:.0e} steps")
-    stepper = StepperConfig(method=config.method, dt=dt, newton_tol=config.newton_tol,
-                            newton_max_iter=config.newton_max_iter)
     return basis, state0, stepper
 
 
@@ -333,21 +342,25 @@ def energy_monotone(records, rel_tol: float = 1e-9) -> bool:
 def trajectory_diagnostics(traj: Trajectory) -> dict:
     recs = traj.records
     apriori = first_apriori_check(recs)
-    horizon = higher_energy_bound_horizon(recs)
     diag = {
         "energy_balance_residual": energy_balance_residual(recs),
         "first_apriori": {"holds": apriori.holds, "margin": apriori.margin,
                           "tol": apriori.tol},
         "energy_monotone": energy_monotone(recs),
-        "higher_energy_horizon": {
-            "c_emp": horizon.c_emp,
-            "horizon": horizon.horizon if math.isfinite(horizon.horizon) else None,
-        },
         "E0": float(recs.E[0]),
         "E_end": float(recs.E[-1]),
         "n_records": recs.E.size,
         "n_steps": traj.n_steps,
+        "solver": asdict(traj.solver),
     }
+    try:  # a one-step run has only the two endpoint records
+        horizon = higher_energy_bound_horizon(recs)
+        diag["higher_energy_horizon"] = {
+            "c_emp": horizon.c_emp,
+            "horizon": horizon.horizon if math.isfinite(horizon.horizon) else None,
+        }
+    except ValueError as exc:
+        diag["higher_energy_horizon"] = {"error": str(exc)}
     try:
         fit = fit_exponential_decay(recs)
         diag["decay_fit"] = {"C": fit.C, "omega": fit.omega, "r_squared": fit.r_squared,

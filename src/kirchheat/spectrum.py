@@ -32,6 +32,10 @@ from functools import cache, reduce
 import numpy as np
 
 QUAD_ORDER = 10  # Gauss-Legendre points per panel
+PANELS_PER_PI = 8.0  # quadrature panels per unit length pi, whatever the mode count
+# most panels an axis may need for its length alone (lengths up to ~3.9e4):
+# 10 nodes each, and a projection forms one sine matrix per axis
+MAX_PANELS = 10**5
 AXES = {"interval": 1, "rectangle": 2}
 
 
@@ -89,11 +93,11 @@ def _gauss_legendre_composite(length: float, panels: int):
 
 
 def _default_panels(length: float, max_index: int) -> int:
-    # 8 panels per unit length pi handles smooth data; the 0.75*k term keeps
-    # the highest sine products resolved (mode k has k half-waves whatever
-    # the length, and needs ~0.375 panels per half-wave for order-10 panels
-    # to reach ~1e-14 Gram error).
-    base = math.ceil(8.0 * length / math.pi)
+    # PANELS_PER_PI panels per unit length pi handle smooth data; the
+    # 0.75*k term keeps the highest sine products resolved (mode k has k
+    # half-waves whatever the length, and needs ~0.375 panels per half-wave
+    # for order-10 panels to reach ~1e-14 Gram error).
+    base = math.ceil(PANELS_PER_PI * length / math.pi)
     return max(base, math.ceil(0.75 * max_index), 1)
 
 
@@ -102,9 +106,12 @@ class EigenBasis:
     """First `n_modes` Dirichlet-Laplacian eigenpairs, sorted by eigenvalue.
 
     `mode_indices[i]` holds the sine index tuple of mode i, one entry per
-    axis; degenerate eigenvalues are ordered lexicographically by that
-    tuple. `axis_rules[a]` is the (nodes, weights) quadrature rule of axis
-    a, so projections and Gram checks use one consistent tensor rule.
+    axis. Eigenvalues that are equal in floating point are ordered
+    lexicographically by that tuple; exact ties that round apart (on the
+    pi x pi square, (22, 7) and (2, 23) share 533 but compute as
+    532.9999999999998 and 533.0) follow their rounded values.
+    `axis_rules[a]` is the (nodes, weights) quadrature rule of axis a, so
+    projections and Gram checks use one consistent tensor rule.
     """
 
     domain: Domain
@@ -137,15 +144,25 @@ def _index_columns(basis: EigenBasis) -> np.ndarray:
 def build_basis(domain: Domain, n_modes: int) -> EigenBasis:
     """Construct the eigenbasis with its per-axis projection quadrature.
 
-    Eigenvalues come out sorted ascending, ties broken lexicographically on
-    the sine index tuple.
+    Lengths so long that an axis needs more than MAX_PANELS panels, or so
+    short that the eigenvalues overflow, raise ValueError. Eigenvalues come
+    out sorted ascending; values equal in floating point are ordered
+    lexicographically on the sine index tuple.
     """
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
+    lengths = domain.lengths
+    panels = PANELS_PER_PI * max(lengths) / math.pi
+    if panels > MAX_PANELS:
+        raise ValueError(f"length {max(lengths):g} needs {panels:.3g} quadrature panels, "
+                         f"above the limit of {MAX_PANELS:.0e}")
+    top = n_modes * math.pi / min(lengths)  # lambda_max <= dim top^2; a float division
+    if not math.isfinite(domain.dim * top * top):  # overflows to inf, not to an error
+        raise ValueError(f"length {min(lengths):g} gives eigenvalues up to about "
+                         f"({n_modes} pi / {min(lengths):g})^2, beyond float range")
     # candidate indices per axis from the box bound in the module docstring,
     # with root = sqrt(Lambda) / pi; scale is formed from logs so that no
     # product of lengths overflows or underflows
-    lengths = domain.lengths
     scale = math.exp((math.log(n_modes) - sum(map(math.log, lengths))) / domain.dim)
     root = math.hypot(*(math.ceil(L * scale) / L for L in lengths))
     kmax = [int(min(L * root, n_modes - 1)) + 1 for L in lengths]

@@ -19,10 +19,11 @@ thinned records afterwards is too lossy for the a-priori identity check.
 
 A stepper is built once per (run, dt) by `_stepper`, which forms every
 per-mode coefficient up front and returns a kernel `advance(x, t)` that
-steps the state as one (3, N) block x = [h; v; c]. `simulate` builds one
-kernel for dt, and a second one only for a shortened last step, and writes
-its records into one (R, 3, N) block; `step` builds a kernel and applies it
-once, so both go through the same code.
+steps the state as one (3, N) block x = [h; v; c] and reports its
+fixed-point evaluations. `simulate` builds one kernel for dt, and a second
+one only for a shortened last step, writes its records into one (R, 3, N)
+block and sums the evaluations into `SolverStats`; `step` builds a kernel
+and applies it once, so both go through the same code.
 """
 
 from __future__ import annotations
@@ -68,13 +69,25 @@ class StepperConfig:
             raise ValueError(f"newton_max_iter must be >= 1, got {self.newton_max_iter}")
 
 
+@dataclass(frozen=True)
+class SolverStats:
+    """Fixed-point work of a run: `iterations` evaluations of the Kirchhoff
+    coefficient over `steps` steps, at most `max_iterations` in one step.
+    RK4 and m1 = 0 runs take none."""
+
+    steps: int
+    iterations: int
+    max_iterations: int
+
+
 @dataclass
 class Trajectory:
     """Thinned simulation output, stacked along a leading record axis:
     `states` (t of shape (R,), h, v, c of shape (R, N)) and `records`
     (fields of shape (R,)) share the R sample times: every
     record_every-th step, plus t = 0 and t = t_end. The h, v, c of a
-    simulated run are views of one (R, 3, N) block."""
+    simulated run are views of one (R, 3, N) block. `solver` counts the
+    run's fixed-point work."""
 
     params: ModelParams
     basis: EigenBasis
@@ -82,6 +95,7 @@ class Trajectory:
     states: ModalState
     records: EnergyRecord
     n_steps: int
+    solver: SolverStats
 
     @property
     def final_state(self) -> ModalState:
@@ -98,11 +112,50 @@ def rk4_dt_limit(params: ModelParams, basis: EigenBasis, state: ModalState) -> f
     return RK4_STABILITY_LIMIT / float(np.abs(np.linalg.eigvals(a)).max())
 
 
+def check_rk4_dt(params: ModelParams, basis: EigenBasis, state: ModalState,
+                 dt: float) -> None:
+    """Raise ValueError if RK4 steps of size `dt` from `state` are unstable."""
+    limit = rk4_dt_limit(params, basis, state)
+    if dt > limit:
+        raise ValueError(f"rk4 unstable: dt = {dt:.3g} exceeds the stability limit "
+                         f"{limit:.3e} of the top mode; shrink dt or use implicit_midpoint")
+
+
 def default_dt(params: ModelParams, basis: EigenBasis, state: ModalState) -> float:
     """0.1 / sqrt(phi(S0) * lambda_max): ~ a tenth of the fastest retained
     wave period at the initial stiffness."""
     phi = kirchhoff_coefficient(params, grad_norm_sq(basis, state.h))
     return 0.1 / math.sqrt(phi * basis.lambda_max)
+
+
+@np.errstate(all="ignore")  # overflow is checked once the block is formed
+def _midpoint_block(params: ModelParams, lam: np.ndarray, dt: float):
+    """The (10, 3, N) numerator block and tt = d0 / d1 of `_midpoint_stepper`."""
+    a = 0.5 * dt
+    s_ = 1.0 + a * lam
+    q = a * params.alpha * lam
+    r_ = a * params.beta * lam
+    zero, one = np.zeros_like(lam), np.ones_like(lam)
+    # Cramer numerators, (3, 3, N) each: rows h, v, c; columns act on (h, v, c)
+    p = np.array([[s_ + q * r_, a * s_, a * q],
+                  [zero, s_, q],
+                  [zero, -r_, one]])
+    qm = np.array([[zero, zero, zero],
+                   [-a * lam * s_, zero, zero],
+                   [a * lam * r_, zero, a * a * lam]])
+    d0 = s_ + a * a * params.alpha * params.beta * lam * lam
+    d1 = a * a * lam * s_
+    tt = d0 / d1
+    eye = np.eye(3)[:, :, None]
+    # rows 0-3: A, P_c / d1; rows 4-7: B, Q_c / d1; row 8: w; row 9: lam (h + dt v)
+    numer = np.concatenate([(2.0 * p - d0 * eye) / d1, p[2:] / d1,
+                            (2.0 * qm - d1 * eye) / d1, qm[2:] / d1,
+                            np.sqrt(lam) * p[:1] / d1,
+                            [[lam, dt * lam, zero]]])
+    if not (np.isfinite(numer).all() and np.isfinite(tt).all()):
+        raise FloatingPointError(f"midpoint coefficients are not finite at dt = {dt:g} "
+                                 f"with lambda in [{lam[0]:g}, {lam[-1]:g}]")
+    return numer, tt
 
 
 def _midpoint_stepper(params: ModelParams, lam: np.ndarray, dt: float,
@@ -117,69 +170,76 @@ def _midpoint_stepper(params: ModelParams, lam: np.ndarray, dt: float,
 
     Cramer's rule gives m = (P b + phi Q b) / det, with b = (h, v, c),
     det = d0 + d1 phi and Q's h row zero, so the fixed point runs on the
-    scalar phi alone. P, Q, d0, d1 and the flux weights depend only on the
-    run and dt, so they are built here once.
+    scalar phi alone. Dividing through by d1 > 0 folds the new state
+    x_new = 2 m - b into one combine,
+
+        x_new = (A b + phi B b) / (tt + phi),  A = (2P - d0 I) / d1,
+                                               B = (2Q - d1 I) / d1,
+
+    with tt = d0 / d1. One contraction of b with a per-run (10, 3, N) block
+    gives, besides A b and B b:
+
+    * the heat rows of P b / d1 and Q b / d1, so the same combine yields
+      m_c for the flux;
+    * w = sqrt(lam) P_h b / d1, so sqrt(lam) m_h = w / (tt + phi) and one
+      fixed-point evaluation is an add, a divide and a dot;
+    * lam (h + dt v), for the start m0 + m1 sum lam h (h + dt v) of the
+      fixed point. That is phi at the midpoint up to O(dt^2), clamped to
+      the root's lower bound m0; it depends on the state alone, so the
+      kernel stays stateless.
+
+    A step so short that d1 underflows to 0, or a spectrum so stiff that
+    the block overflows, is refused as a FloatingPointError.
     """
-    a = 0.5 * dt
-    s_ = 1.0 + a * lam
-    q = a * params.alpha * lam
-    r_ = a * params.beta * lam
-    zero, one = np.zeros_like(lam), np.ones_like(lam)
-    # (6, 3, N): rows P_h, P_v, P_c, Q_h, Q_v, Q_c; columns act on (h, v, c)
-    numer = np.array([
-        [s_ + q * r_, a * s_, a * q],
-        [zero, s_, q],
-        [zero, -r_, one],
-        [zero, zero, zero],
-        [-a * lam * s_, zero, zero],
-        [a * lam * r_, zero, a * a * lam],
-    ])
-    d0 = s_ + a * a * params.alpha * params.beta * lam * lam
-    d1 = a * a * lam * s_
+    numer, tt = _midpoint_block(params, lam, dt)
     flux = -dt * (params.alpha / params.beta) * lam  # exact discrete heat flux
     m0, m1 = params.m0, params.m1
 
     def advance(x: np.ndarray, t: float):
         n = np.einsum("ijn,jn->in", numer, x)
-        n_h = n[0]
-        phi = m0  # the linear (m1 = 0) solve needs no iteration
+        phi, evals = m0, 0  # the linear (m1 = 0) solve needs no iteration
         if m1 != 0.0:
-            phi += m1 * float(lam @ (x[0] * x[0]))
-            converged = False
-            for _ in range(max_iter):
-                m_h = n_h / (d0 + d1 * phi)
-                phi_new = m0 + m1 * float(lam @ (m_h * m_h))
+            phi = max(m0, m0 + m1 * float(x[0] @ n[9]))
+            while True:
+                evals += 1
+                grad_mh = n[8] / (tt + phi)  # sqrt(lam) m_h
+                phi_new = m0 + m1 * float(grad_mh @ grad_mh)
                 resid = abs(phi_new - phi)
                 phi = phi_new
                 if resid <= tol * max(1.0, abs(phi)):
-                    converged = True
                     break
-            if not converged:
-                raise SolverDivergenceError(
-                    f"midpoint iteration stalled at t={t:.6g} (residual {resid:.3e})",
-                    residual=resid, t=t)
-        mid = (n[:3] + phi * n[3:]) / (d0 + d1 * phi)
-        x_new = 2.0 * mid - x
+                if evals == max_iter:
+                    raise SolverDivergenceError(
+                        f"midpoint iteration stalled at t={t:.6g} (residual {resid:.3e})",
+                        residual=resid, t=t)
+        out = (n[:4] + phi * n[4:8]) / (tt + phi)
+        x_new, mid_c = out[:3], out[3]
         if not np.isfinite(x_new).all():
             raise FloatingPointError(f"non-finite state after step at t={t:.6g}")
-        return x_new, float(flux @ (mid[2] * mid[2]))
+        return x_new, float(flux @ (mid_c * mid_c)), evals
 
     return advance
 
 
 def _rk4_stepper(params: ModelParams, lam: np.ndarray, dt: float):
     """Classical RK4 kernel for step size `dt`; the dissipation integral is
-    advanced by the same Runge-Kutta quadrature as the state."""
-    m0, m1 = params.m0, params.m1
-    ab = params.alpha / params.beta
-    alpha_lam = params.alpha * lam
-    beta_lam = params.beta * lam
+    advanced by the same Runge-Kutta quadrature as the state.
+
+    A stage's right-hand side is one contraction of the (3, N) state with
+    the per-run linear block (phi = m0), plus -m1 S lam h on the v row."""
+    m1, ab = params.m1, params.alpha / params.beta
+    zero = np.zeros_like(lam)
+    linear = np.array([[zero, np.ones_like(lam), zero],
+                       [-params.m0 * lam, zero, params.alpha * lam],
+                       [zero, -params.beta * lam, -lam]])
     half, sixth = 0.5 * dt, dt / 6.0
 
     def f(x):
-        h, v, c = x
-        phi = m0 + m1 * float(lam @ (h * h))
-        return np.stack((v, -phi * lam * h + alpha_lam * c, -lam * c - beta_lam * v))
+        k = np.einsum("ijn,jn->in", linear, x)
+        if m1 != 0.0:
+            lam_h = lam * x[0]
+            k[1] -= (m1 * float(x[0] @ lam_h)) * lam_h
+        return k
 
     def d_of(x):
         return -ab * float(lam @ (x[2] * x[2]))
@@ -191,20 +251,22 @@ def _rk4_stepper(params: ModelParams, lam: np.ndarray, dt: float):
         x3 = x + half * k2
         k3 = f(x3)
         x4 = x + dt * k3
-        x_new = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + f(x4))
+        x_new = x + sixth * (k1 + 2.0 * (k2 + k3) + f(x4))
         if not np.isfinite(x_new).all():
             raise FloatingPointError(f"non-finite state after step at t={t:.6g}")
-        return x_new, sixth * (d_of(x) + 2.0 * d_of(x2) + 2.0 * d_of(x3) + d_of(x4))
+        return x_new, sixth * (d_of(x) + 2.0 * d_of(x2) + 2.0 * d_of(x3) + d_of(x4)), 0
 
     return advance
 
 
 def _stepper(params: ModelParams, basis: EigenBasis, method: str, dt: float,
              tol: float, max_iter: int):
-    """The step kernel `advance(x, t) -> (x_new, d_inc)` for one (run, dt).
+    """The step kernel `advance(x, t) -> (x_new, d_inc, evals)` for one (run, dt).
 
     `x` is the (3, N) block of rows h, v, c at time t (used only in error
-    messages); `d_inc` is the increment of the dissipation integral.
+    messages); `d_inc` is the increment of the dissipation integral and
+    `evals` the number of fixed-point evaluations the step took (0 for RK4
+    and for m1 = 0).
     """
     if method == "implicit_midpoint":
         return _midpoint_stepper(params, basis.lambdas, dt, tol, max_iter)
@@ -222,7 +284,7 @@ def step(params: ModelParams, basis: EigenBasis, state: ModalState,
         dt = config.dt
     advance = _stepper(params, basis, config.method, dt,
                        config.newton_tol, config.newton_max_iter)
-    x, d_inc = advance(np.array((state.h, state.v, state.c), dtype=float), state.t)
+    x, d_inc, _ = advance(np.array((state.h, state.v, state.c), dtype=float), state.t)
     return ModalState(t=state.t + dt, h=x[0], v=x[1], c=x[2]), d_inc
 
 
@@ -239,11 +301,7 @@ def simulate(params: ModelParams, basis: EigenBasis, state0: ModalState,
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
     if config.method == "rk4":
-        limit = rk4_dt_limit(params, basis, state0)
-        if config.dt > limit:
-            raise ValueError(f"rk4 unstable: dt = {config.dt:.3g} exceeds the stability "
-                             f"limit {limit:.3e} of the top mode; shrink dt or use "
-                             "implicit_midpoint")
+        check_rk4_dt(params, basis, state0, config.dt)
 
     span = t_end - state0.t
     n_full = int(math.floor(span / config.dt + 1e-9))
@@ -262,24 +320,30 @@ def simulate(params: ModelParams, basis: EigenBasis, state0: ModalState,
 
     t0, dt = state0.t, config.dt
     x = np.array((state0.h, state0.v, state0.c), dtype=float)
-    acc = 0.0
+    acc, evals, max_evals = 0.0, 0, 0
     times[0], rows[0], diss[0] = t0, x, acc
     i = 1
     advance = _stepper(params, basis, config.method, dt,
                        config.newton_tol, config.newton_max_iter)
     for n in range(1, n_full + 1):
-        x, d_inc = advance(x, t0 + (n - 1) * dt)
+        x, d_inc, k = advance(x, t0 + (n - 1) * dt)
         acc += d_inc
+        evals += k
+        if k > max_evals:
+            max_evals = k
         if n % record_every == 0 and i < n_rec - 1:  # the last row is t_end's
             times[i], rows[i], diss[i] = t0 + n * dt, x, acc  # t without roundoff drift
             i += 1
     if dt_last > 0.0:
         advance = _stepper(params, basis, config.method, dt_last,
                            config.newton_tol, config.newton_max_iter)
-        x, d_inc = advance(x, t0 + n_full * dt)
+        x, d_inc, k = advance(x, t0 + n_full * dt)
         acc += d_inc
+        evals += k
+        max_evals = max(max_evals, k)
     times[-1], rows[-1], diss[-1] = t_end, x, acc
     states = ModalState(times, rows[:, 0], rows[:, 1], rows[:, 2])
+    n_steps = n_full + (1 if dt_last > 0.0 else 0)
     return Trajectory(params=params, basis=basis, config=config, states=states,
                       records=energy(params, basis, states, diss_int=diss),
-                      n_steps=n_full + (1 if dt_last > 0.0 else 0))
+                      n_steps=n_steps, solver=SolverStats(n_steps, evals, max_evals))

@@ -411,3 +411,26 @@ def test_csv_text_is_pure(small_config):
     text = csv_text(result.trajectory.records)
     assert text.startswith(",".join(CSV_COLUMNS))
     assert text == csv_text(result.trajectory.records)
+
+
+def test_solver_telemetry_two_evaluations_per_step(default_config):
+    """The predicted start settles phi in two evaluations per step on the
+    default config, and diagnostics.json carries the counts."""
+    result = run_scenario(replace(default_config, t_end=1.0), write_files=False)
+    solver = result.diagnostics["solver"]
+    assert solver == {"steps": 1000, "iterations": 2000, "max_iterations": 2}
+    assert solver["steps"] == result.diagnostics["n_steps"]
+
+
+@pytest.mark.parametrize("length,why", [(1e200, "quadrature panels"),
+                                        (1e-200, "beyond float range")])
+def test_extreme_domain_length_is_a_domain_error(tmp_path, capsys, length, why):
+    cfg = config_from_dict(small_dict(domain={"kind": "interval", "length": length}),
+                           source="<test>")
+    with pytest.raises(ConfigError, match=why) as err:
+        build_scenario(cfg)
+    assert err.value.path == "domain"
+    path = write_config(tmp_path, domain={"kind": "interval", "length": length})
+    assert main(["simulate", str(path), "--outdir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "domain" in err and "Traceback" not in err

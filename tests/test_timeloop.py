@@ -314,3 +314,66 @@ def test_endpoint_records_keep_final_energy(method):
     assert ends.records.t.size == 2 and full.records.t.size == 101
     assert ends.records.E[-1] == full.records.E[-1]
     assert ends.records.diss_int[-1] == full.records.diss_int[-1]
+
+
+def midpoint_step_from(params, basis, state, dt, phi, tol=1e-12, max_iter=50):
+    """One implicit-midpoint step whose fixed point starts at `phi`; also
+    returns the number of evaluations it took."""
+    lam = basis.lambdas
+    a = 0.5 * dt
+    s_ = 1.0 + a * lam
+    q = a * params.alpha * lam
+    r_ = a * params.beta * lam
+    d0 = s_ + a * a * params.alpha * params.beta * lam * lam
+    d1 = a * a * lam * s_
+    b1, b2, b3 = state.h, state.v, state.c
+    n_h = (s_ + q * r_) * b1 + a * s_ * b2 + a * q * b3
+    for evals in range(1, max_iter + 1):
+        m_h = n_h / (d0 + d1 * phi)
+        phi_new = params.m0 + params.m1 * float(lam @ (m_h * m_h))
+        done = abs(phi_new - phi) <= tol * max(1.0, abs(phi_new))
+        phi = phi_new
+        if done:
+            break
+    det = d0 + d1 * phi
+    m = np.array([n_h, s_ * b2 + q * b3 - phi * a * lam * s_ * b1,
+                  b3 - r_ * b2 + phi * a * lam * (r_ * b1 + a * b3)]) / det
+    return 2.0 * m - np.array([b1, b2, b3]), evals
+
+
+def one_step(params, basis, state, dt, max_iter=50):
+    """A one-step `simulate`: the new (3, N) block and the run's SolverStats."""
+    traj = simulate(params, basis, state, state.t + dt,
+                    StepperConfig(dt=dt, newton_max_iter=max_iter))
+    s = traj.states
+    return np.array([s.h[-1], s.v[-1], s.c[-1]]), traj.solver
+
+
+def test_predicted_start_far_off_matches_reference():
+    """At dt = 0.05 and y0 amplitude 50 the predicted S (2375) and S_n
+    (2500) both lie far from the root (S at the midpoint ~ 1236), and the
+    fixed point contracts slowly; started at the prediction, the step
+    lands on the root that a fixed point started at m0 + m1 S_n reaches
+    at the same tolerance."""
+    basis = build_basis(Domain.interval(math.pi), 16)
+    h, v, c = np.zeros(16), np.zeros(16), np.zeros(16)
+    h[0], v[0], c[1] = 50.0, -50.0, 0.1
+    state = ModalState(0.0, h, v, c)
+    got, stats = one_step(NONLIN, basis, state, 0.05, max_iter=100)
+    want, _ = cramer_midpoint_step(NONLIN, basis, state, 0.05, max_iter=100)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert stats.steps == 1 and stats.iterations == stats.max_iterations > 10
+
+
+def test_negative_predicted_start_is_clamped_to_m0():
+    """sum lam h (h + dt v) < 0: the start clamps to m0 and the fixed point
+    takes exactly the evaluations of one started at m0."""
+    state = small_state(BASIS_4, seed=15)
+    dt = 0.1
+    state.v = -3.0 * state.h / dt
+    lam = BASIS_4.lambdas
+    assert float(lam @ (state.h * (state.h + dt * state.v))) < 0.0
+    got, stats = one_step(NONLIN, BASIS_4, state, dt)
+    want, evals = midpoint_step_from(NONLIN, BASIS_4, state, dt, NONLIN.m0)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert stats.iterations == evals
