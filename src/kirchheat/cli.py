@@ -175,8 +175,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except SolverDivergenceError as exc:
-        print(f"solver divergence at t = {exc.t:.6g}: {exc} "
-              f"(residual {exc.residual:.3e})", file=sys.stderr)
+        print(f"solver divergence: {exc}", file=sys.stderr)
         return 3
     except FloatingPointError as exc:
         print(f"numeric fault: {exc}", file=sys.stderr)

@@ -20,10 +20,14 @@ thinned records afterwards is too lossy for the a-priori identity check.
 A stepper is built once per (run, dt) by `_stepper`, which forms every
 per-mode coefficient up front and returns a kernel `advance(x, t)` that
 steps the state as one (3, N) block x = [h; v; c] and reports its
-fixed-point evaluations. `simulate` builds one kernel for dt, and a second
-one only for a shortened last step, writes its records into one (R, 3, N)
-block and sums the evaluations into `SolverStats`; `step` builds a kernel
-and applies it once, so both go through the same code.
+fixed-point evaluations and accepted residual. The midpoint kernel also
+allocates its buffers once and writes every step into them, so the state
+it returns is valid only until its next call; its flux and its finiteness
+check are one dot, and a step whose state or flux is not finite raises
+FloatingPointError. `simulate` builds one kernel for dt, and a second one
+only for a shortened last step, copies its records into one (R, 3, N)
+block and folds the per-step counts into `SolverStats`; `step` builds a
+kernel and applies it once, so both go through the same code.
 """
 
 from __future__ import annotations
@@ -72,12 +76,16 @@ class StepperConfig:
 @dataclass(frozen=True)
 class SolverStats:
     """Fixed-point work of a run: `iterations` evaluations of the Kirchhoff
-    coefficient over `steps` steps, at most `max_iterations` in one step.
-    RK4 and m1 = 0 runs take none."""
+    coefficient over `steps` steps, at most `max_iterations` in one step;
+    `max_residual` is the largest |phi_k+1 - phi_k| a step accepted, and
+    `last_step_shortened` says whether the last step shrank to land on
+    t_end. RK4 and m1 = 0 runs take no evaluations and report residual 0.0."""
 
     steps: int
     iterations: int
     max_iterations: int
+    max_residual: float
+    last_step_shortened: bool
 
 
 @dataclass
@@ -147,9 +155,12 @@ def _midpoint_block(params: ModelParams, lam: np.ndarray, dt: float):
     d1 = a * a * lam * s_
     tt = d0 / d1
     eye = np.eye(3)[:, :, None]
-    # rows 0-3: A, P_c / d1; rows 4-7: B, Q_c / d1; row 8: w; row 9: lam (h + dt v)
-    numer = np.concatenate([(2.0 * p - d0 * eye) / d1, p[2:] / d1,
-                            (2.0 * qm - d1 * eye) / d1, qm[2:] / d1,
+    # the exact discrete heat flux is -dt (alpha/beta) lam m_c^2 = -(sq m_c)^2
+    sq = np.sqrt(dt * (params.alpha / params.beta) * lam)
+    # rows 0-3: A, sq P_c / d1; rows 4-7: B, sq Q_c / d1; row 8: w;
+    # row 9: lam (h + dt v)
+    numer = np.concatenate([(2.0 * p - d0 * eye) / d1, sq * p[2:] / d1,
+                            (2.0 * qm - d1 * eye) / d1, sq * qm[2:] / d1,
                             np.sqrt(lam) * p[:1] / d1,
                             [[lam, dt * lam, zero]]])
     if not (np.isfinite(numer).all() and np.isfinite(tt).all()):
@@ -179,31 +190,51 @@ def _midpoint_stepper(params: ModelParams, lam: np.ndarray, dt: float,
     with tt = d0 / d1. One contraction of b with a per-run (10, 3, N) block
     gives, besides A b and B b:
 
-    * the heat rows of P b / d1 and Q b / d1, so the same combine yields
-      m_c for the flux;
+    * the heat rows of P b / d1 and Q b / d1, scaled by
+      sq = sqrt(dt (alpha/beta) lam), so the same combine yields
+      r = sq m_c and the step's flux is -(r . r);
     * w = sqrt(lam) P_h b / d1, so sqrt(lam) m_h = w / (tt + phi) and one
       fixed-point evaluation is an add, a divide and a dot;
     * lam (h + dt v), for the start m0 + m1 sum lam h (h + dt v) of the
       fixed point. That is phi at the midpoint up to O(dt^2), clamped to
       the root's lower bound m0; it depends on the state alone, so the
-      kernel stays stateless.
+      kernel's results depend on `x` alone.
+
+    The flux and the finiteness check are one dot over the (4, N) output
+    [x_new; r] with weights 0 on the state rows and -1 on r: an inf or nan
+    anywhere in the output makes d_inc nan (0 * inf = nan), and a flux
+    that overflows makes it -inf. A non-finite d_inc is refused as a
+    FloatingPointError.
+
+    The contraction output, the fixed-point scratch and the output block
+    are allocated once here and written in place by every step. The
+    returned state is a view of the output block, valid until the next
+    call; `x` may be that view, because every read of `x` happens before
+    the block is written.
 
     A step so short that d1 underflows to 0, or a spectrum so stiff that
     the block overflows, is refused as a FloatingPointError.
     """
     numer, tt = _midpoint_block(params, lam, dt)
-    flux = -dt * (params.alpha / params.beta) * lam  # exact discrete heat flux
     m0, m1 = params.m0, params.m1
+    n = np.empty((10, lam.size))
+    n_a, n_b, n_w, n_s = n[:4], n[4:8], n[8], n[9]
+    den, g = np.empty_like(lam), np.empty_like(lam)
+    out = np.empty((4, lam.size))
+    x_new, flat = out[:3], out.reshape(-1)
+    fw = np.repeat([0.0, 0.0, 0.0, -1.0], lam.size)  # flux weights of [x_new; r]
+    fw_flat = np.empty_like(flat)
 
     def advance(x: np.ndarray, t: float):
-        n = np.einsum("ijn,jn->in", numer, x)
-        phi, evals = m0, 0  # the linear (m1 = 0) solve needs no iteration
+        np.einsum("ijn,jn->in", numer, x, out=n)
+        phi, evals, resid = m0, 0, 0.0  # the linear (m1 = 0) solve needs no iteration
         if m1 != 0.0:
-            phi = max(m0, m0 + m1 * float(x[0] @ n[9]))
+            phi = max(m0, m0 + m1 * float(x[0] @ n_s))
             while True:
                 evals += 1
-                grad_mh = n[8] / (tt + phi)  # sqrt(lam) m_h
-                phi_new = m0 + m1 * float(grad_mh @ grad_mh)
+                np.add(tt, phi, out=den)
+                np.divide(n_w, den, out=g)  # sqrt(lam) m_h
+                phi_new = m0 + m1 * float(g @ g)
                 resid = abs(phi_new - phi)
                 phi = phi_new
                 if resid <= tol * max(1.0, abs(phi)):
@@ -212,11 +243,16 @@ def _midpoint_stepper(params: ModelParams, lam: np.ndarray, dt: float,
                     raise SolverDivergenceError(
                         f"midpoint iteration stalled at t={t:.6g} (residual {resid:.3e})",
                         residual=resid, t=t)
-        out = (n[:4] + phi * n[4:8]) / (tt + phi)
-        x_new, mid_c = out[:3], out[3]
-        if not np.isfinite(x_new).all():
-            raise FloatingPointError(f"non-finite state after step at t={t:.6g}")
-        return x_new, float(flux @ (mid_c * mid_c)), evals
+        np.multiply(n_b, phi, out=out)
+        np.add(n_a, out, out=out)
+        np.add(tt, phi, out=den)
+        np.divide(out, den, out=out)
+        np.multiply(fw, flat, out=fw_flat)
+        d_inc = float(fw_flat @ flat)
+        if not math.isfinite(d_inc):
+            raise FloatingPointError(
+                f"non-finite state or dissipation after step at t={t:.6g}")
+        return x_new, d_inc, evals, resid
 
     return advance
 
@@ -254,19 +290,22 @@ def _rk4_stepper(params: ModelParams, lam: np.ndarray, dt: float):
         x_new = x + sixth * (k1 + 2.0 * (k2 + k3) + f(x4))
         if not np.isfinite(x_new).all():
             raise FloatingPointError(f"non-finite state after step at t={t:.6g}")
-        return x_new, sixth * (d_of(x) + 2.0 * d_of(x2) + 2.0 * d_of(x3) + d_of(x4)), 0
+        return x_new, sixth * (d_of(x) + 2.0 * d_of(x2) + 2.0 * d_of(x3) + d_of(x4)), 0, 0.0
 
     return advance
 
 
 def _stepper(params: ModelParams, basis: EigenBasis, method: str, dt: float,
              tol: float, max_iter: int):
-    """The step kernel `advance(x, t) -> (x_new, d_inc, evals)` for one (run, dt).
+    """The step kernel `advance(x, t) -> (x_new, d_inc, evals, resid)` for
+    one (run, dt).
 
     `x` is the (3, N) block of rows h, v, c at time t (used only in error
-    messages); `d_inc` is the increment of the dissipation integral and
-    `evals` the number of fixed-point evaluations the step took (0 for RK4
-    and for m1 = 0).
+    messages); `d_inc` is the increment of the dissipation integral,
+    `evals` the number of fixed-point evaluations the step took and
+    `resid` the residual of the accepted iterate (0 and 0.0 for RK4 and
+    for m1 = 0). The midpoint kernel's `x_new` is valid until its next
+    call.
     """
     if method == "implicit_midpoint":
         return _midpoint_stepper(params, basis.lambdas, dt, tol, max_iter)
@@ -284,7 +323,7 @@ def step(params: ModelParams, basis: EigenBasis, state: ModalState,
         dt = config.dt
     advance = _stepper(params, basis, config.method, dt,
                        config.newton_tol, config.newton_max_iter)
-    x, d_inc, _ = advance(np.array((state.h, state.v, state.c), dtype=float), state.t)
+    x, d_inc, _, _ = advance(np.array((state.h, state.v, state.c), dtype=float), state.t)
     return ModalState(t=state.t + dt, h=x[0], v=x[1], c=x[2]), d_inc
 
 
@@ -320,30 +359,35 @@ def simulate(params: ModelParams, basis: EigenBasis, state0: ModalState,
 
     t0, dt = state0.t, config.dt
     x = np.array((state0.h, state0.v, state0.c), dtype=float)
-    acc, evals, max_evals = 0.0, 0, 0
+    acc, evals, max_evals, max_resid = 0.0, 0, 0, 0.0
     times[0], rows[0], diss[0] = t0, x, acc
     i = 1
     advance = _stepper(params, basis, config.method, dt,
                        config.newton_tol, config.newton_max_iter)
     for n in range(1, n_full + 1):
-        x, d_inc, k = advance(x, t0 + (n - 1) * dt)
+        x, d_inc, k, resid = advance(x, t0 + (n - 1) * dt)
         acc += d_inc
         evals += k
         if k > max_evals:
             max_evals = k
+        if resid > max_resid:
+            max_resid = resid
         if n % record_every == 0 and i < n_rec - 1:  # the last row is t_end's
             times[i], rows[i], diss[i] = t0 + n * dt, x, acc  # t without roundoff drift
             i += 1
     if dt_last > 0.0:
         advance = _stepper(params, basis, config.method, dt_last,
                            config.newton_tol, config.newton_max_iter)
-        x, d_inc, k = advance(x, t0 + n_full * dt)
+        x, d_inc, k, resid = advance(x, t0 + n_full * dt)
         acc += d_inc
         evals += k
         max_evals = max(max_evals, k)
+        max_resid = max(max_resid, resid)
     times[-1], rows[-1], diss[-1] = t_end, x, acc
     states = ModalState(times, rows[:, 0], rows[:, 1], rows[:, 2])
-    n_steps = n_full + (1 if dt_last > 0.0 else 0)
+    shortened = dt_last > 0.0
+    n_steps = n_full + (1 if shortened else 0)
+    solver = SolverStats(n_steps, evals, max_evals, max_resid, shortened)
     return Trajectory(params=params, basis=basis, config=config, states=states,
                       records=energy(params, basis, states, diss_int=diss),
-                      n_steps=n_steps, solver=SolverStats(n_steps, evals, max_evals))
+                      n_steps=n_steps, solver=solver)

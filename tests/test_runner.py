@@ -359,6 +359,20 @@ def test_cli_divergence_exits_3(tmp_path, capsys):
     assert "diverge" in capsys.readouterr().err.lower()
 
 
+def test_cli_divergence_prints_residual_once(tmp_path, capsys):
+    """configs/default.json at y0 amplitude 1e150: phi swings between m0
+    and about 5e299, and the message names the time and residual once."""
+    tree = json.loads((CONFIG_DIR / "default.json").read_text())
+    tree["initial"]["y0"]["amplitude"] = 1e150
+    tree["t_end"] = 0.01
+    tree["stepper"]["newton_max_iter"] = 5
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps(tree))
+    assert main(["simulate", str(cfg), "--outdir", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("residual") == 1 and err.count("t=0") == 1, err
+
+
 def test_cli_converge_writes_table(tmp_path, capsys):
     cfg = write_config(tmp_path, t_end=0.5)
     code = main(["converge", str(cfg), "--modes", "2,4,8",
@@ -418,7 +432,10 @@ def test_solver_telemetry_two_evaluations_per_step(default_config):
     default config, and diagnostics.json carries the counts."""
     result = run_scenario(replace(default_config, t_end=1.0), write_files=False)
     solver = result.diagnostics["solver"]
-    assert solver == {"steps": 1000, "iterations": 2000, "max_iterations": 2}
+    assert solver == {"steps": 1000, "iterations": 2000, "max_iterations": 2,
+                      "max_residual": solver["max_residual"],
+                      "last_step_shortened": False}
+    assert 0.0 <= solver["max_residual"] <= 1e-12 * 2.0  # tol * max(1, phi), phi < 2
     assert solver["steps"] == result.diagnostics["n_steps"]
 
 

@@ -101,16 +101,14 @@ def test_project_zero_field():
 
 
 def test_project_polynomial_against_dense_quadrature():
-    """x(pi - x) projection vs an independent high-order quadrature oracle."""
+    """x(pi - x) projection vs its exact sine coefficients
+    sqrt(2/pi) * 2 (1 - (-1)^k) / k^3, the limit a dense quadrature
+    oracle would approach."""
     basis = build_basis(Domain.interval(math.pi), 2)
     coeffs = project_initial_data(basis, lambda x: x * (math.pi - x))
-    xg, wg = np.polynomial.legendre.leggauss(5000)
-    xg = 0.5 * math.pi * (xg + 1.0)
-    wg = 0.5 * math.pi * wg
     for k in (1, 2):
-        oracle = np.sum(wg * xg * (math.pi - xg)
-                        * math.sqrt(2.0 / math.pi) * np.sin(k * xg))
-        assert abs(coeffs[k - 1] - oracle) <= 1e-8
+        exact = math.sqrt(2.0 / math.pi) * 2.0 * (1.0 - (-1.0) ** k) / k ** 3
+        assert abs(coeffs[k - 1] - exact) <= 1e-8
 
 
 def test_project_sampled_simpson_grid():

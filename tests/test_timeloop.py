@@ -377,3 +377,45 @@ def test_negative_predicted_start_is_clamped_to_m0():
     want, evals = midpoint_step_from(NONLIN, BASIS_4, state, dt, NONLIN.m0)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
     assert stats.iterations == evals
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("row", ["h", "v", "c"])
+def test_non_finite_state_is_refused(row, bad):
+    """m1 = 0 runs no fixed point, so only the kernel's folded flux and
+    finiteness dot can catch an inf or nan in one entry of h, v or c."""
+    state = small_state(BASIS_4, seed=16)
+    getattr(state, row)[2] = bad
+    with pytest.raises(FloatingPointError, match="non-finite state or dissipation"):
+        step(LIN, BASIS_4, state, StepperConfig(dt=1e-2))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_flux_is_refused():
+    """A finite new state whose discrete heat flux overflows to -inf."""
+    basis = build_basis(Domain.interval(math.pi), 6)
+    state = zero_state(basis)
+    state.c[2] = 1e160
+    with pytest.raises(FloatingPointError, match="non-finite state or dissipation"):
+        step(LIN, basis, state, StepperConfig(dt=1e-2))
+
+
+@pytest.mark.parametrize("method", ["implicit_midpoint", "rk4"])
+def test_solver_stats_report_residual_and_shortened_step(method):
+    """`max_residual` passes the convergence test (0.0 for RK4 and for
+    m1 = 0), and `last_step_shortened` is set only when t_end is not a
+    whole number of steps."""
+    state0 = small_state(BASIS_4, seed=17)
+    cfg = StepperConfig(method=method, dt=1e-2)
+    whole = simulate(NONLIN, BASIS_4, state0, 0.1, cfg)
+    short = simulate(NONLIN, BASIS_4, state0, 0.095, cfg)
+    assert not whole.solver.last_step_shortened
+    assert short.solver.last_step_shortened
+    assert simulate(LIN, BASIS_4, state0, 0.1, cfg).solver.max_residual == 0.0
+    if method == "rk4":
+        assert whole.solver.max_residual == 0.0
+    else:
+        s = whole.states
+        phi = max(kirchhoff_coefficient(NONLIN, grad_norm_sq(BASIS_4, h)) for h in s.h)
+        assert 0.0 <= whole.solver.max_residual <= cfg.newton_tol * 2.0 * max(1.0, phi)
