@@ -5,8 +5,12 @@ Two steppers:
 * ``implicit_midpoint`` (default): A-stable, so the step size is set by the
   wave period of interest, not by the stiff heat modes. Each step solves the
   midpoint system exactly per mode; the only nonlinearity is the scalar
-  Kirchhoff coefficient, which is resolved by fixed-point iteration. The
-  linear (m1 = 0) problem needs no iteration.
+  Kirchhoff coefficient phi, the unique root on [m0, inf) of a decreasing
+  fixed-point map. It is settled from four moments of the step's state (a
+  cubic with a proven error bound, `_moment_root`), and by fixed-point
+  iteration only when that bound exceeds newton_tol max(1, phi), which
+  takes a large amplitude or a large dt. The linear (m1 = 0) problem needs
+  neither.
 * ``rk4``: classical explicit Runge-Kutta, for convergence studies. Its
   stability region holds the left half-disk of radius 2.6, so the step is
   limited to dt * rho <= 2.5, with rho the spectral radius of the top
@@ -20,14 +24,18 @@ thinned records afterwards is too lossy for the a-priori identity check.
 A stepper is built once per (run, dt) by `_stepper`, which forms every
 per-mode coefficient up front and returns a kernel `advance(x, t)` that
 steps the state as one (3, N) block x = [h; v; c] and reports its
-fixed-point evaluations and accepted residual. The midpoint kernel also
-allocates its buffers once and writes every step into them, so the state
-it returns is valid only until its next call; its flux and its finiteness
-check are one dot, and a step whose state or flux is not finite raises
-FloatingPointError. `simulate` builds one kernel for dt, and a second one
-only for a shortened last step, copies its records into one (R, 3, N)
-block and folds the per-step counts into `SolverStats`; `step` builds a
-kernel and applies it once, so both go through the same code.
+fixed-point evaluations (0 for a moment-settled step) and accepted
+residual (for a moment-settled step, the bound on the error in phi). The
+midpoint kernel also allocates its buffers once and writes every step
+into them, so the state it returns is valid only until its next call; its
+flux and its finiteness check are one dot, and a step whose state or flux
+is not finite raises FloatingPointError. `simulate` builds one kernel for
+dt, and a second one only for a shortened last step, copies its records
+into one (R, 3, N) block and folds the per-step counts into
+`SolverStats`, with a histogram of evaluations per step; `step` builds a
+kernel and applies it once, so both go through the same code. Both run
+the kernel with numpy's overflow warnings off: the kernel checks every
+value it uses for finiteness.
 """
 
 from __future__ import annotations
@@ -44,6 +52,9 @@ from .model import rhs  # noqa: F401  unused; bound here so call counters can wr
 from .spectrum import EigenBasis
 
 RK4_STABILITY_LIMIT = 2.5
+# the moment solve needs rho = m1 mu0 / min T below this; its truncation,
+# about 5 rho^4 of phi - m0, is then below that value's rounding
+_MOMENT_RHO_MAX = 1e-4
 
 
 class SolverDivergenceError(RuntimeError):
@@ -76,16 +87,21 @@ class StepperConfig:
 @dataclass(frozen=True)
 class SolverStats:
     """Fixed-point work of a run: `iterations` evaluations of the Kirchhoff
-    coefficient over `steps` steps, at most `max_iterations` in one step;
-    `max_residual` is the largest |phi_k+1 - phi_k| a step accepted, and
+    coefficient over `steps` steps, at most `max_iterations` in one step,
+    and `histogram[k]` steps that took k evaluations (k = 0 for a step
+    settled from the moments, and for every RK4 or m1 = 0 step).
+    `max_residual` is the largest residual a step accepted: the proven
+    bound on |phi - phi*| of a moment-settled step, or the last
+    |phi_k+1 - phi_k| of a fixed-point step (0.0 for RK4 and m1 = 0).
     `last_step_shortened` says whether the last step shrank to land on
-    t_end. RK4 and m1 = 0 runs take no evaluations and report residual 0.0."""
+    t_end."""
 
     steps: int
     iterations: int
     max_iterations: int
     max_residual: float
     last_step_shortened: bool
+    histogram: tuple[int, ...]
 
 
 @dataclass
@@ -169,6 +185,33 @@ def _midpoint_block(params: ModelParams, lam: np.ndarray, dt: float):
     return numer, tt
 
 
+def _moment_root(mu, m1: float, t_min: float):
+    """Root s of the cubic truncation of the midpoint fixed point in
+    s = phi - m0, and a bound on its distance to the exact root.
+
+    `mu` holds the moments mu_j = sum_k w_k^2 T_k^-(j+2), j = 0..3, with
+    T = tt + m0 and `t_min` = min T (see `_midpoint_stepper`). With
+    a0 = m1 mu0 and rho = a0 / t_min, the cubic
+    s - m1 (mu0 - 2 mu1 s + 3 mu2 s^2 - 4 mu3 s^3) has its root within
+    3 rho^2 a0 of a0 / (1 + 2 m1 mu1); one Newton step from there leaves
+    about 27 rho^6 a0. The bound is |cubic(s)| + a0 (5 rho^4 - 4 rho^5) /
+    (1 - rho)^2; it is inf unless rho < _MOMENT_RHO_MAX (so a moment that
+    is inf or nan gives inf) and s lies in [0, a0].
+    """
+    mu0, mu1, mu2, mu3 = mu
+    a0 = m1 * mu0
+    rho = a0 / t_min
+    if not rho < _MOMENT_RHO_MAX:
+        return 0.0, math.inf
+    b, c, d = 1.0 + 2.0 * m1 * mu1, 3.0 * m1 * mu2, 4.0 * m1 * mu3
+    s = a0 / b
+    s -= (((d * s - c) * s + b) * s - a0) / ((3.0 * d * s - 2.0 * c) * s + b)
+    if not 0.0 <= s <= a0:
+        return s, math.inf
+    tail = a0 * rho ** 4 * (5.0 - 4.0 * rho) / (1.0 - rho) ** 2
+    return s, abs(((d * s - c) * s + b) * s - a0) + tail
+
+
 def _midpoint_stepper(params: ModelParams, lam: np.ndarray, dt: float,
                       tol: float, max_iter: int):
     """Implicit-midpoint kernel for step size `dt`, with exact per-mode solves.
@@ -180,8 +223,8 @@ def _midpoint_stepper(params: ModelParams, lam: np.ndarray, dt: float,
         a beta lam m_v + (1 + a lam) m_c  = c
 
     Cramer's rule gives m = (P b + phi Q b) / det, with b = (h, v, c),
-    det = d0 + d1 phi and Q's h row zero, so the fixed point runs on the
-    scalar phi alone. Dividing through by d1 > 0 folds the new state
+    det = d0 + d1 phi and Q's h row zero, so the solve runs on the scalar
+    phi alone. Dividing through by d1 > 0 folds the new state
     x_new = 2 m - b into one combine,
 
         x_new = (A b + phi B b) / (tt + phi),  A = (2P - d0 I) / d1,
@@ -193,12 +236,42 @@ def _midpoint_stepper(params: ModelParams, lam: np.ndarray, dt: float,
     * the heat rows of P b / d1 and Q b / d1, scaled by
       sq = sqrt(dt (alpha/beta) lam), so the same combine yields
       r = sq m_c and the step's flux is -(r . r);
-    * w = sqrt(lam) P_h b / d1, so sqrt(lam) m_h = w / (tt + phi) and one
-      fixed-point evaluation is an add, a divide and a dot;
-    * lam (h + dt v), for the start m0 + m1 sum lam h (h + dt v) of the
-      fixed point. That is phi at the midpoint up to O(dt^2), clamped to
-      the root's lower bound m0; it depends on the state alone, so the
-      kernel's results depend on `x` alone.
+    * w = sqrt(lam) P_h b / d1, so sqrt(lam) m_h = w / (tt + phi) and phi
+      solves phi = F(phi) = m0 + m1 sum_k w_k^2 / (tt_k + phi)^2;
+    * lam (h + dt v), for the fallback's start (below).
+
+    **The Kirchhoff coefficient from four moments.** With s = phi - m0 and
+    T = tt + m0 > 0, expanding 1/(T + s)^2 gives
+
+        F(m0 + s) - m0 = m1 sum_j (-1)^j (j+1) mu_j s^j,
+        mu_j = sum_k w_k^2 T_k^-(j+2).
+
+    F >= m0 and F is decreasing, so G(s) = s - (F(m0 + s) - m0) has
+    G' >= 1 on s > -min T: the midpoint root is unique on [m0, inf) (and
+    no fixed point lies below m0), and it lies in s in [0, m1 mu0]. With
+    rho = m1 mu0 / min T < 1, the series converges there, and its tail
+    after j = 3 is at most m1 mu0 sum_{j>=4} (j+1) rho^j
+    = m1 mu0 (5 rho^4 - 4 rho^5) / (1 - rho)^2. The root s^ of the cubic
+    truncation (`_moment_root`) therefore satisfies
+    |s^ - s*| <= |G(s^)| <= |cubic(s^)| + that tail, because G' >= 1.
+    So the per-run (4, N) block K_j = T^-(j+2) and min T, one square of
+    w and one matvec give the four moments; a step accepts phi = m0 + s^
+    when rho < _MOMENT_RHO_MAX and the bound is at most tol max(1, phi),
+    and reports the bound as its residual with 0 fixed-point evaluations. For a moment-settled
+    step `newton_tol` thus bounds the error in phi itself (in exact
+    arithmetic on the computed moments, whose rounding is relative
+    N eps), not the last increment of an iteration.
+
+    **The fallback** runs whenever the bound is larger, rho is not small
+    (large amplitude or large dt) or a moment is not finite: the fixed
+    point phi_k+1 = F(phi_k), each evaluation an add, a divide and a dot,
+    from the start max(m0, m0 + m1 sum lam h (h + dt v)), S at the
+    midpoint to O(dt^2) clamped to m0. It stops when
+    |phi_k+1 - phi_k| <= tol max(1, |phi|), raises SolverDivergenceError
+    after `max_iter` evaluations, and raises FloatingPointError at the
+    first nan iterate (a non-finite state, or one whose step overflows).
+    Steps that take it are bit-identical to the fixed point alone. Both
+    paths depend on `x` alone.
 
     The flux and the finiteness check are one dot over the (4, N) output
     [x_new; r] with weights 0 on the state rows and -1 on r: an inf or nan
@@ -206,11 +279,11 @@ def _midpoint_stepper(params: ModelParams, lam: np.ndarray, dt: float,
     that overflows makes it -inf. A non-finite d_inc is refused as a
     FloatingPointError.
 
-    The contraction output, the fixed-point scratch and the output block
-    are allocated once here and written in place by every step. The
-    returned state is a view of the output block, valid until the next
-    call; `x` may be that view, because every read of `x` happens before
-    the block is written.
+    The contraction output, the scratch vectors and the output block are
+    allocated once here and written in place by every step. The returned
+    state is a view of the output block, valid until the next call; `x`
+    may be that view, because every read of `x` happens before the block
+    is written.
 
     A step so short that d1 underflows to 0, or a spectrum so stiff that
     the block overflows, is refused as a FloatingPointError.
@@ -224,25 +297,39 @@ def _midpoint_stepper(params: ModelParams, lam: np.ndarray, dt: float,
     x_new, flat = out[:3], out.reshape(-1)
     fw = np.repeat([0.0, 0.0, 0.0, -1.0], lam.size)  # flux weights of [x_new; r]
     fw_flat = np.empty_like(flat)
+    big_t = tt + m0
+    t_min = float(big_t.min())
+    with np.errstate(over="ignore"):  # an inf in K only sends steps to the fallback
+        kmom = big_t ** -np.arange(2.0, 6.0)[:, None]  # (4, N) block K
+    mu = np.empty(4)
 
     def advance(x: np.ndarray, t: float):
         np.einsum("ijn,jn->in", numer, x, out=n)
         phi, evals, resid = m0, 0, 0.0  # the linear (m1 = 0) solve needs no iteration
         if m1 != 0.0:
-            phi = max(m0, m0 + m1 * float(x[0] @ n_s))
-            while True:
-                evals += 1
-                np.add(tt, phi, out=den)
-                np.divide(n_w, den, out=g)  # sqrt(lam) m_h
-                phi_new = m0 + m1 * float(g @ g)
-                resid = abs(phi_new - phi)
-                phi = phi_new
-                if resid <= tol * max(1.0, abs(phi)):
-                    break
-                if evals == max_iter:
-                    raise SolverDivergenceError(
-                        f"midpoint iteration stalled at t={t:.6g} (residual {resid:.3e})",
-                        residual=resid, t=t)
+            np.multiply(n_w, n_w, out=g)
+            np.dot(kmom, g, out=mu)
+            s, resid = _moment_root(mu.tolist(), m1, t_min)
+            if resid <= tol * max(1.0, m0 + s):
+                phi = m0 + s
+            else:
+                phi = max(m0, m0 + m1 * float(x[0] @ n_s))
+                while True:
+                    evals += 1
+                    np.add(tt, phi, out=den)
+                    np.divide(n_w, den, out=g)  # sqrt(lam) m_h
+                    phi_new = m0 + m1 * float(g @ g)
+                    resid = abs(phi_new - phi)
+                    phi = phi_new
+                    if resid <= tol * max(1.0, abs(phi)):
+                        break
+                    if phi != phi:
+                        raise FloatingPointError(
+                            f"non-finite state or Kirchhoff coefficient at t={t:.6g}")
+                    if evals == max_iter:
+                        raise SolverDivergenceError(
+                            f"midpoint iteration stalled at t={t:.6g} (residual {resid:.3e})",
+                            residual=resid, t=t)
         np.multiply(n_b, phi, out=out)
         np.add(n_a, out, out=out)
         np.add(tt, phi, out=den)
@@ -259,7 +346,8 @@ def _midpoint_stepper(params: ModelParams, lam: np.ndarray, dt: float,
 
 def _rk4_stepper(params: ModelParams, lam: np.ndarray, dt: float):
     """Classical RK4 kernel for step size `dt`; the dissipation integral is
-    advanced by the same Runge-Kutta quadrature as the state.
+    advanced by the same Runge-Kutta quadrature as the state. A step whose
+    state or dissipation increment is not finite raises FloatingPointError.
 
     A stage's right-hand side is one contraction of the (3, N) state with
     the per-run linear block (phi = m0), plus -m1 S lam h on the v row."""
@@ -288,9 +376,11 @@ def _rk4_stepper(params: ModelParams, lam: np.ndarray, dt: float):
         k3 = f(x3)
         x4 = x + dt * k3
         x_new = x + sixth * (k1 + 2.0 * (k2 + k3) + f(x4))
-        if not np.isfinite(x_new).all():
-            raise FloatingPointError(f"non-finite state after step at t={t:.6g}")
-        return x_new, sixth * (d_of(x) + 2.0 * d_of(x2) + 2.0 * d_of(x3) + d_of(x4)), 0, 0.0
+        d_inc = sixth * (d_of(x) + 2.0 * d_of(x2) + 2.0 * d_of(x3) + d_of(x4))
+        if not (np.isfinite(x_new).all() and math.isfinite(d_inc)):
+            raise FloatingPointError(
+                f"non-finite state or dissipation after step at t={t:.6g}")
+        return x_new, d_inc, 0, 0.0
 
     return advance
 
@@ -323,7 +413,8 @@ def step(params: ModelParams, basis: EigenBasis, state: ModalState,
         dt = config.dt
     advance = _stepper(params, basis, config.method, dt,
                        config.newton_tol, config.newton_max_iter)
-    x, d_inc, _, _ = advance(np.array((state.h, state.v, state.c), dtype=float), state.t)
+    with np.errstate(over="ignore"):  # the kernel checks what it uses
+        x, d_inc, _, _ = advance(np.array((state.h, state.v, state.c), dtype=float), state.t)
     return ModalState(t=state.t + dt, h=x[0], v=x[1], c=x[2]), d_inc
 
 
@@ -358,36 +449,34 @@ def simulate(params: ModelParams, basis: EigenBasis, state0: ModalState,
     diss = np.empty(n_rec)
 
     t0, dt = state0.t, config.dt
+    shortened = dt_last > 0.0
+    n_steps = n_full + (1 if shortened else 0)
     x = np.array((state0.h, state0.v, state0.c), dtype=float)
-    acc, evals, max_evals, max_resid = 0.0, 0, 0, 0.0
+    acc, hist, max_evals, max_resid = 0.0, [0], 0, 0.0
     times[0], rows[0], diss[0] = t0, x, acc
     i = 1
     advance = _stepper(params, basis, config.method, dt,
                        config.newton_tol, config.newton_max_iter)
-    for n in range(1, n_full + 1):
-        x, d_inc, k, resid = advance(x, t0 + (n - 1) * dt)
-        acc += d_inc
-        evals += k
-        if k > max_evals:
-            max_evals = k
-        if resid > max_resid:
-            max_resid = resid
-        if n % record_every == 0 and i < n_rec - 1:  # the last row is t_end's
-            times[i], rows[i], diss[i] = t0 + n * dt, x, acc  # t without roundoff drift
-            i += 1
-    if dt_last > 0.0:
-        advance = _stepper(params, basis, config.method, dt_last,
-                           config.newton_tol, config.newton_max_iter)
-        x, d_inc, k, resid = advance(x, t0 + n_full * dt)
-        acc += d_inc
-        evals += k
-        max_evals = max(max_evals, k)
-        max_resid = max(max_resid, resid)
+    with np.errstate(over="ignore"):  # the kernel checks what it uses
+        for n in range(1, n_steps + 1):
+            if n > n_full:  # the shortened last step, which lands on t_end
+                advance = _stepper(params, basis, config.method, dt_last,
+                                   config.newton_tol, config.newton_max_iter)
+            x, d_inc, k, resid = advance(x, t0 + (n - 1) * dt)
+            acc += d_inc
+            if k > max_evals:
+                hist.extend([0] * (k - max_evals))
+                max_evals = k
+            hist[k] += 1
+            if resid > max_resid:
+                max_resid = resid
+            if n % record_every == 0 and i < n_rec - 1:  # the last row is t_end's
+                times[i], rows[i], diss[i] = t0 + n * dt, x, acc  # t without roundoff drift
+                i += 1
     times[-1], rows[-1], diss[-1] = t_end, x, acc
     states = ModalState(times, rows[:, 0], rows[:, 1], rows[:, 2])
-    shortened = dt_last > 0.0
-    n_steps = n_full + (1 if shortened else 0)
-    solver = SolverStats(n_steps, evals, max_evals, max_resid, shortened)
+    solver = SolverStats(n_steps, sum(k * c for k, c in enumerate(hist)), max_evals,
+                         max_resid, shortened, tuple(hist))
     return Trajectory(params=params, basis=basis, config=config, states=states,
                       records=energy(params, basis, states, diss_int=diss),
                       n_steps=n_steps, solver=solver)

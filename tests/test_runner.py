@@ -427,14 +427,15 @@ def test_csv_text_is_pure(small_config):
     assert text == csv_text(result.trajectory.records)
 
 
-def test_solver_telemetry_two_evaluations_per_step(default_config):
-    """The predicted start settles phi in two evaluations per step on the
-    default config, and diagnostics.json carries the counts."""
+def test_solver_telemetry_moment_settled_steps(default_config):
+    """The four moments settle phi in every step of the default config,
+    with no fixed-point evaluation, and diagnostics.json carries the counts
+    and the histogram."""
     result = run_scenario(replace(default_config, t_end=1.0), write_files=False)
     solver = result.diagnostics["solver"]
-    assert solver == {"steps": 1000, "iterations": 2000, "max_iterations": 2,
+    assert solver == {"steps": 1000, "iterations": 0, "max_iterations": 0,
                       "max_residual": solver["max_residual"],
-                      "last_step_shortened": False}
+                      "last_step_shortened": False, "histogram": (1000,)}
     assert 0.0 <= solver["max_residual"] <= 1e-12 * 2.0  # tol * max(1, phi), phi < 2
     assert solver["steps"] == result.diagnostics["n_steps"]
 

@@ -1,4 +1,6 @@
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from kirchheat import (
     step,
     zero_state,
 )
-from kirchheat.timeloop import rk4_dt_limit
+from kirchheat.timeloop import _midpoint_block, _moment_root, rk4_dt_limit
 
 BASIS_1 = build_basis(Domain.interval(math.pi), 1)
 BASIS_4 = build_basis(Domain.interval(math.pi), 4)
@@ -401,6 +403,16 @@ def test_overflowing_flux_is_refused():
         step(LIN, basis, state, StepperConfig(dt=1e-2))
 
 
+def test_rk4_overflowing_flux_is_refused():
+    """RK4 refuses a finite new state whose dissipation increment
+    overflows to -inf, as the midpoint kernel does."""
+    basis = build_basis(Domain.interval(math.pi), 6)
+    state = zero_state(basis)
+    state.c[2] = 1e160
+    with pytest.raises(FloatingPointError, match="non-finite state or dissipation"):
+        step(LIN, basis, state, StepperConfig(method="rk4", dt=1e-2))
+
+
 @pytest.mark.parametrize("method", ["implicit_midpoint", "rk4"])
 def test_solver_stats_report_residual_and_shortened_step(method):
     """`max_residual` passes the convergence test (0.0 for RK4 and for
@@ -419,3 +431,135 @@ def test_solver_stats_report_residual_and_shortened_step(method):
         s = whole.states
         phi = max(kirchhoff_coefficient(NONLIN, grad_norm_sq(BASIS_4, h)) for h in s.h)
         assert 0.0 <= whole.solver.max_residual <= cfg.newton_tol * 2.0 * max(1.0, phi)
+
+
+def exact_root_gap(w, tt, m0, m1):
+    """s* = phi* - m0 for the float w and tt, by bisection on G(s) =
+    s - m1 sum w^2 / (tt + m0 + s)^2 in 60-digit decimal arithmetic."""
+    with decimal.localcontext(decimal.Context(prec=60)):
+        w2 = [Decimal(float(v)) ** 2 for v in w]
+        big_t = [Decimal(float(v)) + Decimal(m0) for v in tt]
+        m1 = Decimal(m1)
+
+        def g(s):
+            return s - m1 * sum(a / (t + s) ** 2 for a, t in zip(w2, big_t))
+
+        lo, hi = Decimal(0), m1 * sum(a / t ** 2 for a, t in zip(w2, big_t))
+        for _ in range(100):  # hi - lo = m1 mu0 2^-100
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if g(mid) < 0 else (lo, mid)
+        return float((lo + hi) / 2)
+
+
+def moment_case(seed):
+    """A random interval or rectangle run with m1 in (0, 2], either
+    coupling sign, dt log-uniform in [1e-4, 0.1 / sqrt(lambda_max)] and
+    amplitude log-uniform in [1e-3, 1]."""
+    rng = np.random.default_rng(seed)
+    domain, n = ((Domain.interval(math.pi), 8) if seed % 2 else
+                 (Domain.rectangle(1.0, 1.7), 9))
+    sign = 1.0 if rng.uniform() < 0.5 else -1.0
+    params = ModelParams(m0=rng.uniform(0.5, 1.5), m1=rng.uniform(1e-3, 2.0),
+                         alpha=sign * rng.uniform(0.5, 2.0), beta=sign * rng.uniform(0.5, 2.0))
+    basis = build_basis(domain, n)
+    dt = math.exp(rng.uniform(math.log(1e-4), math.log(0.1 / math.sqrt(basis.lambda_max))))
+    state = small_state(basis, seed=seed, scale=math.exp(rng.uniform(math.log(1e-3), 0.0)))
+    return params, basis, state, dt
+
+
+def test_moment_solve_lies_within_its_bound_of_the_exact_root():
+    """Every phi the moments settle lies within its reported bound of the
+    exact root of G, up to the rounding of the moments (relative
+    (N + 8) eps on m1 mu0) and of m0 + s; a step settles from the moments
+    exactly when the bound passes, and its state matches the Cramer
+    formulas."""
+    tol, settled = 1e-12, 0
+    for seed in range(40):
+        params, basis, state, dt = moment_case(seed)
+        numer, tt = _midpoint_block(params, basis.lambdas, dt)
+        x = np.array([state.h, state.v, state.c])
+        w = np.einsum("jn,jn->n", numer[8], x)
+        big_t = tt + params.m0
+        mu = [float(big_t ** -(j + 2.0) @ (w * w)) for j in range(4)]
+        s, bound = _moment_root(mu, params.m1, float(big_t.min()))
+        accepted = bound <= tol * max(1.0, params.m0 + s)
+        got, stats = one_step(params, basis, state, dt)
+        assert (stats.iterations == 0) == accepted, seed
+        if accepted:
+            settled += 1
+            a0 = params.m1 * mu[0]
+            phi = params.m0 + s
+            gap = abs(phi - (params.m0 + exact_root_gap(w, tt, params.m0, params.m1)))
+            assert gap <= bound + (basis.n_modes + 8) * 2.2e-16 * a0 + 2.2e-16 * phi, seed
+            assert stats.max_residual == pytest.approx(bound, rel=1e-9)
+        want, _ = cramer_midpoint_step(params, basis, state, dt)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), seed
+    assert settled >= 15
+
+
+def head_fixed_point_step(params, basis, state, dt, tol=1e-12, max_iter=100):
+    """The midpoint step with the Kirchhoff coefficient settled by the
+    predicted start and the fixed point alone, in the kernel's own
+    operations: what a step that falls back must reproduce bit for bit."""
+    numer, tt = _midpoint_block(params, basis.lambdas, dt)
+    m0, m1 = params.m0, params.m1
+    x = np.array([state.h, state.v, state.c])
+    n = np.einsum("ijn,jn->in", numer, x)
+    phi, evals = max(m0, m0 + m1 * float(x[0] @ n[9])), 0
+    while True:
+        evals += 1
+        g = n[8] / (tt + phi)
+        phi_new = m0 + m1 * float(g @ g)
+        resid, phi = abs(phi_new - phi), phi_new
+        if resid <= tol * max(1.0, abs(phi)) or evals == max_iter:
+            break
+    out = (n[:4] + n[4:8] * phi) / (tt + phi)
+    return out[:3], evals
+
+
+def test_large_amplitude_step_falls_back_bit_identically():
+    """y0 amplitude 50 at dt = 0.05: rho is far above the moment solve's
+    cap, so the step runs the fixed point, evaluation for evaluation."""
+    basis = build_basis(Domain.interval(math.pi), 16)
+    h, v, c = np.zeros(16), np.zeros(16), np.zeros(16)
+    h[0], v[0], c[1] = 50.0, -50.0, 0.1
+    state = ModalState(0.0, h, v, c)
+    got, stats = one_step(NONLIN, basis, state, 0.05, max_iter=100)
+    want, evals = head_fixed_point_step(NONLIN, basis, state, 0.05)
+    assert stats.iterations == evals > 0 and stats.histogram[evals] == 1
+    assert np.array_equal(got, want)
+
+
+def test_scenario_like_run_is_moment_settled():
+    """N = 16, dt = 1e-3 and |grad y0|^2 = 0.16, as in the benchmark's
+    scenario: every step settles from the moments."""
+    basis = build_basis(Domain.interval(math.pi), 16)
+    state = small_state(basis, seed=18, scale=0.1)
+    state.h *= math.sqrt(0.16 / grad_norm_sq(basis, state.h))
+    traj = simulate(NONLIN, basis, state, 0.5, StepperConfig(dt=1e-3), record_every=50)
+    assert traj.solver.iterations == traj.solver.max_iterations == 0
+    assert traj.solver.histogram == (traj.n_steps,) == (500,)
+    assert 0.0 <= traj.solver.max_residual <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("row", ["h", "v", "c"])
+def test_nan_state_is_refused_at_the_first_evaluation(row):
+    """With m1 > 0 a nan moment falls back to the fixed point, whose
+    first iterate is nan: a numeric fault within a budget of one
+    evaluation, not a solver divergence after all of them."""
+    state = small_state(BASIS_4, seed=19)
+    getattr(state, row)[1] = math.nan
+    with pytest.raises(FloatingPointError, match="non-finite state"):
+        step(NONLIN, BASIS_4, state, StepperConfig(dt=1e-2, newton_max_iter=1))
+
+
+def test_histogram_counts_steps_by_evaluations():
+    """The histogram has max_iterations + 1 entries, sums to the step
+    count and weights to the evaluation count."""
+    state = small_state(BASIS_4, seed=20, scale=1.5)
+    traj = simulate(NONLIN, BASIS_4, state, 1.0, StepperConfig(dt=0.05))
+    hist = traj.solver.histogram
+    assert len(hist) == traj.solver.max_iterations + 1 and hist[-1] > 0
+    assert sum(hist) == traj.n_steps
+    assert sum(k * c for k, c in enumerate(hist)) == traj.solver.iterations
