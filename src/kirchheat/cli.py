@@ -73,6 +73,8 @@ def _cmd_converge(args) -> int:
 
 def _cmd_probe_uniqueness(args) -> int:
     config = load_config(args.config)
+    if not math.isfinite(args.eps):
+        raise ConfigError("--eps", f"epsilon must be finite, got {args.eps}")
     if args.eps < 0.0:
         raise ConfigError("--eps", f"epsilon must be >= 0, got {args.eps}")
     report = uniqueness_probe(config, args.eps)

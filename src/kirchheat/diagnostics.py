@@ -302,17 +302,29 @@ class HorizonEstimate:
 
 def higher_energy_bound_horizon(traj_or_records) -> HorizonEstimate:
     """Estimate C = max |dE*/dt| / E*^(3/2) from records and the induced
-    horizon 2 / (C sqrt(E*(0))) of the bound E*(t) <= {E*(0)^-1/2 - C t/2}^-2."""
+    horizon 2 / (C sqrt(E*(0))) of the bound E*(t) <= {E*(0)^-1/2 - C t/2}^-2.
+
+    Where E*^(3/2) overflows, the ratio is taken as (|dE*/dt| / E*) / sqrt(E*).
+    A C that is still not finite (E* or its differences overflow) gives no
+    horizon: nan."""
     recs = getattr(traj_or_records, "records", traj_or_records)
     if np.size(recs.t) < 3:
         raise ValueError("need at least 3 records")
     t, es = recs.t, recs.E_star
-    dstar = (es[2:] - es[:-2]) / (t[2:] - t[:-2])
     mid = es[1:-1]
     ok = mid > 1e-300
     if not ok.any():
         return HorizonEstimate(c_emp=0.0, horizon=math.inf)
-    c = float((np.abs(dstar[ok]) / mid[ok] ** 1.5).max())
+    with np.errstate(all="ignore"):  # a C that is not finite is reported below
+        rate = np.abs((es[2:] - es[:-2]) / (t[2:] - t[:-2]))[ok]
+        m = mid[ok]
+        scale = m ** 1.5
+        ratio = rate / scale
+        big = ~np.isfinite(scale)  # E* above about 1e205
+        ratio[big] = rate[big] / m[big] / np.sqrt(m[big])
+    c = float(ratio.max())
+    if not math.isfinite(c):
+        return HorizonEstimate(c_emp=c, horizon=math.nan)
     if c <= 0.0 or es[0] <= 0.0:
         return HorizonEstimate(c_emp=c, horizon=math.inf)
     return HorizonEstimate(c_emp=c, horizon=2.0 / (c * math.sqrt(es[0])))

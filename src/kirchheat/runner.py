@@ -31,8 +31,9 @@ SPEC_VERSION = 1
 # most record values (rows x n_modes) a scenario may preallocate; its three
 # state arrays then hold 240 MB
 MAX_RECORD_VALUES = 10**7
-# most time steps a scenario may take (t_end / dt); at about 20 us per
-# implicit-midpoint step (N = 16) that is over half an hour
+# most time steps a scenario may take (t_end / dt); at about 7 us per
+# implicit-midpoint step of `simulate` (N = 16, 2-core x86 VM) that is
+# about 12 minutes
 MAX_STEPS = 10**8
 OUTDIR_ENV = "KIRCHHEAT_OUTDIR"
 CSV_COLUMNS = ("t", "E", "E_star", "D", "kinetic", "potential_linear",
@@ -356,7 +357,7 @@ def trajectory_diagnostics(traj: Trajectory) -> dict:
     try:  # a one-step run has only the two endpoint records
         horizon = higher_energy_bound_horizon(recs)
         diag["higher_energy_horizon"] = {
-            "c_emp": horizon.c_emp,
+            "c_emp": horizon.c_emp if math.isfinite(horizon.c_emp) else None,
             "horizon": horizon.horizon if math.isfinite(horizon.horizon) else None,
         }
     except ValueError as exc:

@@ -21,21 +21,20 @@ state (midpoint: the exact discrete flux dt * D(midpoint); RK4: the same
 Runge-Kutta quadrature as the state). Re-integrating that quantity from
 thinned records afterwards is too lossy for the a-priori identity check.
 
-A stepper is built once per (run, dt) by `_stepper`, which forms every
-per-mode coefficient up front and returns a kernel `advance(x, t)` that
-steps the state as one (3, N) block x = [h; v; c] and reports its
-fixed-point evaluations (0 for a moment-settled step) and accepted
-residual (for a moment-settled step, the bound on the error in phi). The
-midpoint kernel also allocates its buffers once and writes every step
-into them, so the state it returns is valid only until its next call; its
-flux and its finiteness check are one dot, and a step whose state or flux
-is not finite raises FloatingPointError. `simulate` builds one kernel for
-dt, and a second one only for a shortened last step, copies its records
-into one (R, 3, N) block and folds the per-step counts into
-`SolverStats`, with a histogram of evaluations per step; `step` builds a
-kernel and applies it once, so both go through the same code. Both run
-the kernel with numpy's overflow warnings off: the kernel checks every
-value it uses for finiteness.
+Computing a step is apart from accounting for it. A stepper is built once
+per (run, dt) by `_stepper`, which forms every per-mode coefficient up
+front and returns a kernel `advance(x, out, t)`. It steps the state as one
+(3, N) block x = [h; v; c], writes the (4, N) block [x_new; r] into a row
+`out` that the caller owns, with -(r . r) the step's dissipation
+increment, and reports its fixed-point evaluations (0 for a
+moment-settled step) and accepted residual (for a moment-settled step,
+the bound on the error in phi). `_march` runs the kernel over a per-run
+block of up to 64 such rows and settles each block at once (increments,
+finiteness checks, the dissipation integral and the record rows), with
+one kernel for dt and a second one only for a shortened last step, and
+folds the per-step counts into `SolverStats`, with a histogram of
+evaluations per step. `simulate` runs it over a run and `step` over one
+step, so both go through the same code.
 """
 
 from __future__ import annotations
@@ -273,17 +272,15 @@ def _midpoint_stepper(params: ModelParams, lam: np.ndarray, dt: float,
     Steps that take it are bit-identical to the fixed point alone. Both
     paths depend on `x` alone.
 
-    The flux and the finiteness check are one dot over the (4, N) output
-    [x_new; r] with weights 0 on the state rows and -1 on r: an inf or nan
-    anywhere in the output makes d_inc nan (0 * inf = nan), and a flux
-    that overflows makes it -inf. A non-finite d_inc is refused as a
-    FloatingPointError.
+    A step writes [x_new; r] into the caller's (4, N) row `out` and
+    leaves the flux -(r . r) and every finiteness check of its output to
+    `_march`. The last divide is by a per-run (4, N) tiling
+    of tt, plus phi: a same-shape divide is cheaper than one that
+    broadcasts tt + phi, and gives the same bits.
 
-    The contraction output, the scratch vectors and the output block are
-    allocated once here and written in place by every step. The returned
-    state is a view of the output block, valid until the next call; `x`
-    may be that view, because every read of `x` happens before the block
-    is written.
+    The contraction output and the scratch vectors are allocated once here
+    and written in place by every step. `x` may be `out[:3]`, because
+    every read of `x` happens before `out` is written.
 
     A step so short that d1 underflows to 0, or a spectrum so stiff that
     the block overflows, is refused as a FloatingPointError.
@@ -293,17 +290,14 @@ def _midpoint_stepper(params: ModelParams, lam: np.ndarray, dt: float,
     n = np.empty((10, lam.size))
     n_a, n_b, n_w, n_s = n[:4], n[4:8], n[8], n[9]
     den, g = np.empty_like(lam), np.empty_like(lam)
-    out = np.empty((4, lam.size))
-    x_new, flat = out[:3], out.reshape(-1)
-    fw = np.repeat([0.0, 0.0, 0.0, -1.0], lam.size)  # flux weights of [x_new; r]
-    fw_flat = np.empty_like(flat)
+    tt4, den4 = np.tile(tt, (4, 1)), np.empty((4, lam.size))
     big_t = tt + m0
     t_min = float(big_t.min())
     with np.errstate(over="ignore"):  # an inf in K only sends steps to the fallback
         kmom = big_t ** -np.arange(2.0, 6.0)[:, None]  # (4, N) block K
     mu = np.empty(4)
 
-    def advance(x: np.ndarray, t: float):
+    def advance(x: np.ndarray, out: np.ndarray, t: float):
         np.einsum("ijn,jn->in", numer, x, out=n)
         phi, evals, resid = m0, 0, 0.0  # the linear (m1 = 0) solve needs no iteration
         if m1 != 0.0:
@@ -332,31 +326,32 @@ def _midpoint_stepper(params: ModelParams, lam: np.ndarray, dt: float,
                             residual=resid, t=t)
         np.multiply(n_b, phi, out=out)
         np.add(n_a, out, out=out)
-        np.add(tt, phi, out=den)
-        np.divide(out, den, out=out)
-        np.multiply(fw, flat, out=fw_flat)
-        d_inc = float(fw_flat @ flat)
-        if not math.isfinite(d_inc):
-            raise FloatingPointError(
-                f"non-finite state or dissipation after step at t={t:.6g}")
-        return x_new, d_inc, evals, resid
+        np.add(tt4, phi, out=den4)
+        np.divide(out, den4, out=out)
+        return evals, resid
 
     return advance
 
 
 def _rk4_stepper(params: ModelParams, lam: np.ndarray, dt: float):
-    """Classical RK4 kernel for step size `dt`; the dissipation integral is
-    advanced by the same Runge-Kutta quadrature as the state. A step whose
-    state or dissipation increment is not finite raises FloatingPointError.
+    """Classical RK4 kernel for step size `dt`. Its dissipation increment
+    is the Runge-Kutta quadrature of the flux -(alpha/beta) sum lam c^2 over
+    the four stage temperatures c1..c4, written as -(r . r) with
+
+        r = sqrt((dt/6) (alpha/beta) lam (c1^2 + 2 c2^2 + 2 c3^2 + c4^2))
+
+    (alpha beta > 0, so the root is real); a flux that overflows makes r
+    inf, and `_march` refuses the step.
 
     A stage's right-hand side is one contraction of the (3, N) state with
     the per-run linear block (phi = m0), plus -m1 S lam h on the v row."""
-    m1, ab = params.m1, params.alpha / params.beta
+    m1 = params.m1
     zero = np.zeros_like(lam)
     linear = np.array([[zero, np.ones_like(lam), zero],
                        [-params.m0 * lam, zero, params.alpha * lam],
                        [zero, -params.beta * lam, -lam]])
     half, sixth = 0.5 * dt, dt / 6.0
+    flux = sixth * (params.alpha / params.beta) * lam
 
     def f(x):
         k = np.einsum("ijn,jn->in", linear, x)
@@ -365,41 +360,152 @@ def _rk4_stepper(params: ModelParams, lam: np.ndarray, dt: float):
             k[1] -= (m1 * float(x[0] @ lam_h)) * lam_h
         return k
 
-    def d_of(x):
-        return -ab * float(lam @ (x[2] * x[2]))
-
-    def advance(x: np.ndarray, t: float):
+    def advance(x: np.ndarray, out: np.ndarray, t: float):
         k1 = f(x)
         x2 = x + half * k1
         k2 = f(x2)
         x3 = x + half * k2
         k3 = f(x3)
         x4 = x + dt * k3
-        x_new = x + sixth * (k1 + 2.0 * (k2 + k3) + f(x4))
-        d_inc = sixth * (d_of(x) + 2.0 * d_of(x2) + 2.0 * d_of(x3) + d_of(x4))
-        if not (np.isfinite(x_new).all() and math.isfinite(d_inc)):
-            raise FloatingPointError(
-                f"non-finite state or dissipation after step at t={t:.6g}")
-        return x_new, d_inc, 0, 0.0
+        c2 = x[2] * x[2] + 2.0 * (x2[2] * x2[2] + x3[2] * x3[2]) + x4[2] * x4[2]
+        np.add(x, sixth * (k1 + 2.0 * (k2 + k3) + f(x4)), out=out[:3])  # x may be out[:3]
+        np.sqrt(flux * c2, out=out[3])
+        return 0, 0.0
 
     return advance
 
 
 def _stepper(params: ModelParams, basis: EigenBasis, method: str, dt: float,
              tol: float, max_iter: int):
-    """The step kernel `advance(x, t) -> (x_new, d_inc, evals, resid)` for
-    one (run, dt).
+    """The step kernel `advance(x, out, t) -> (evals, resid)` for one
+    (run, dt).
 
     `x` is the (3, N) block of rows h, v, c at time t (used only in error
-    messages); `d_inc` is the increment of the dissipation integral,
-    `evals` the number of fixed-point evaluations the step took and
+    messages). The kernel writes the (4, N) block [x_new; r] into `out`,
+    which the caller owns; the step's dissipation increment is -(r . r).
+    `evals` is the number of fixed-point evaluations the step took and
     `resid` the residual of the accepted iterate (0 and 0.0 for RK4 and
-    for m1 = 0). The midpoint kernel's `x_new` is valid until its next
-    call.
+    for m1 = 0). `x` may be `out[:3]`: every read of `x` happens before
+    `out` is written. The kernel checks nothing for finiteness beyond its
+    own fixed point; `_march` checks every row it writes.
     """
     if method == "implicit_midpoint":
         return _midpoint_stepper(params, basis.lambdas, dt, tol, max_iter)
     return _rk4_stepper(params, basis.lambdas, dt)
+
+
+def _block_len(n_steps: int, n_modes: int) -> int:
+    """Steps per block of `_march`: at most 64, and at most 2^14 values
+    (128 KB) in the (B, 4, N) block, so that a block stays in cache
+    beside the kernel's own buffers until it is settled (one row from
+    N = 4096 up)."""
+    return max(1, min(64, n_steps, 2**14 // (4 * n_modes)))
+
+
+def _march(params: ModelParams, basis: EigenBasis, config: StepperConfig,
+           state0: ModalState, dt: float, n_full: int, dt_last: float, t_end: float,
+           record_every: int):
+    """Take `n_full` steps of `dt` from state0, then one of `dt_last` if it
+    is positive, and keep the state and the dissipation integral at t0,
+    at every record_every-th full step and at t_end.
+
+    The kernel writes up to B = `_block_len` steps into the rows of a
+    per-run (B, 4, N) block, each row read as the next step's state, and
+    each block is settled once. One BLAS dot per row, of [x_new; r] with
+    [0; -r] (a per-run block whose zeros are never written), gives
+    every increment and checks every value: an inf or nan anywhere in a
+    row makes its increment nan (0 * inf = nan), and a flux that overflows
+    makes it -inf. It is the dot a single step would take, whatever the
+    block length. One cumsum, seeded with the integral carried so far,
+    adds the increments in the order of one step at a time, and one
+    strided slice copies the record rows. A non-finite increment is
+    refused as a FloatingPointError at the start time of its step. When
+    the kernel raises at step j, the rows before j are settled first, so
+    an earlier non-finite row is reported in its place. A row after a bad
+    one runs on inf or nan, so the loop runs with numpy's warnings off.
+
+    Returns the (R, 3, N) record rows, their times and dissipation
+    integrals, and the run's `SolverStats`.
+    """
+    n_modes = basis.n_modes
+    shortened = dt_last > 0.0
+    n_steps = n_full + (1 if shortened else 0)
+    # rows: t0, every record_every-th full step, then t_end; a full step
+    # that lands on t_end fills only the t_end row
+    n_rec = 2 + n_full // record_every
+    if not shortened and n_full > 0 and n_full % record_every == 0:
+        n_rec -= 1
+    rows = np.empty((n_rec, 3, n_modes))
+    times = np.empty(n_rec)
+    diss = np.empty(n_rec)
+    t0 = state0.t
+    x = np.array((state0.h, state0.v, state0.c), dtype=float)
+    times[0], rows[0], diss[0] = t0, x, 0.0
+
+    b = _block_len(n_steps, n_modes)
+    buf = np.empty((b, 4, n_modes))
+    outs, xs = list(buf), [row[:3] for row in buf]  # views built once: slicing costs per step
+    cols = buf.reshape(b, -1, 1)
+    weighted = np.zeros((b, 4, n_modes))  # rows [0; -r]: the zeros are never written
+    neg_r, weighted = weighted[:, 3], weighted.reshape(b, 1, -1)
+    cum = np.empty(b + 1)
+    incs = cum[:, None, None]
+    acc, hist, max_evals, max_resid = 0.0, [0], 0, 0.0
+
+    def settle(n0: int, m: int) -> None:
+        """Check and account rows 0..m-1 of the block, steps n0..n0+m-1."""
+        nonlocal acc
+        np.negative(buf[:m, 3], out=neg_r[:m])
+        cum[0] = acc
+        # a stack of (1, 4N) @ (4N, 1) products is one BLAS dot per row,
+        # as for a single step, whatever m is
+        np.matmul(weighted[:m], cols[:m], out=incs[1:m + 1])
+        np.cumsum(cum[:m + 1], out=cum[:m + 1])
+        if not math.isfinite(cum[m]):  # a bad row, or a sum that overflows
+            bad = np.flatnonzero(~np.isfinite(np.matmul(weighted[:m], cols[:m])))
+            if bad.size:
+                raise FloatingPointError("non-finite state or dissipation after step "
+                                         f"at t={t0 + (n0 + bad[0] - 1) * dt:.6g}")
+        first = -n0 % record_every
+        i0 = (n0 + first) // record_every
+        count = min(len(range(first, m, record_every)), n_rec - 1 - i0)  # t_end's row is last
+        if count > 0:
+            sl = slice(first, first + (count - 1) * record_every + 1, record_every)
+            rows[i0:i0 + count] = buf[sl, :3]
+            diss[i0:i0 + count] = cum[1:][sl]
+            # t without roundoff drift
+            times[i0:i0 + count] = t0 + np.arange(n0 + first, n0 + sl.stop, record_every) * dt
+        acc = float(cum[m])
+
+    advance = _stepper(params, basis, config.method, dt,
+                       config.newton_tol, config.newton_max_iter)
+    n0 = 1
+    with np.errstate(all="ignore"):
+        while n0 <= n_steps:
+            m = min(b, n_steps - n0 + 1)
+            try:
+                for j in range(m):
+                    n = n0 + j
+                    if n > n_full:  # the shortened last step, which lands on t_end
+                        advance = _stepper(params, basis, config.method, dt_last,
+                                           config.newton_tol, config.newton_max_iter)
+                    k, resid = advance(x, outs[j], t0 + (n - 1) * dt)
+                    x = xs[j]
+                    if k > max_evals:
+                        hist.extend([0] * (k - max_evals))
+                        max_evals = k
+                    hist[k] += 1
+                    if resid > max_resid:
+                        max_resid = resid
+            except (FloatingPointError, SolverDivergenceError):
+                settle(n0, j)
+                raise
+            settle(n0, m)
+            n0 += m
+    times[-1], rows[-1], diss[-1] = t_end, x, acc
+    solver = SolverStats(n_steps, sum(k * c for k, c in enumerate(hist)), max_evals,
+                         max_resid, shortened, tuple(hist))
+    return rows, times, diss, solver
 
 
 def step(params: ModelParams, basis: EigenBasis, state: ModalState,
@@ -407,15 +513,13 @@ def step(params: ModelParams, basis: EigenBasis, state: ModalState,
     """Advance one step of size `dt` (default config.dt). Returns the new
     state and the increment of the dissipation integral over the step.
 
-    Builds the kernel for this step and applies it once; `simulate` builds
-    one kernel per run instead."""
+    Runs `_march` for one step, with its own kernel; `simulate` runs it
+    over a whole run instead, so both check and account a step alike."""
     if dt is None:
         dt = config.dt
-    advance = _stepper(params, basis, config.method, dt,
-                       config.newton_tol, config.newton_max_iter)
-    with np.errstate(over="ignore"):  # the kernel checks what it uses
-        x, d_inc, _, _ = advance(np.array((state.h, state.v, state.c), dtype=float), state.t)
-    return ModalState(t=state.t + dt, h=x[0], v=x[1], c=x[2]), d_inc
+    rows, _, diss, _ = _march(params, basis, config, state, dt, 1, 0.0, state.t + dt, 1)
+    x = rows[-1]
+    return ModalState(t=state.t + dt, h=x[0], v=x[1], c=x[2]), float(diss[-1])
 
 
 def simulate(params: ModelParams, basis: EigenBasis, state0: ModalState,
@@ -438,45 +542,9 @@ def simulate(params: ModelParams, basis: EigenBasis, state0: ModalState,
     dt_last = span - n_full * config.dt
     if dt_last < 1e-12 * config.dt:
         dt_last = 0.0
-
-    # rows: t0, every record_every-th full step, then t_end; a full step
-    # that lands on t_end fills only the t_end row
-    n_rec = 2 + n_full // record_every
-    if dt_last == 0.0 and n_full > 0 and n_full % record_every == 0:
-        n_rec -= 1
-    rows = np.empty((n_rec, 3, basis.n_modes))
-    times = np.empty(n_rec)
-    diss = np.empty(n_rec)
-
-    t0, dt = state0.t, config.dt
-    shortened = dt_last > 0.0
-    n_steps = n_full + (1 if shortened else 0)
-    x = np.array((state0.h, state0.v, state0.c), dtype=float)
-    acc, hist, max_evals, max_resid = 0.0, [0], 0, 0.0
-    times[0], rows[0], diss[0] = t0, x, acc
-    i = 1
-    advance = _stepper(params, basis, config.method, dt,
-                       config.newton_tol, config.newton_max_iter)
-    with np.errstate(over="ignore"):  # the kernel checks what it uses
-        for n in range(1, n_steps + 1):
-            if n > n_full:  # the shortened last step, which lands on t_end
-                advance = _stepper(params, basis, config.method, dt_last,
-                                   config.newton_tol, config.newton_max_iter)
-            x, d_inc, k, resid = advance(x, t0 + (n - 1) * dt)
-            acc += d_inc
-            if k > max_evals:
-                hist.extend([0] * (k - max_evals))
-                max_evals = k
-            hist[k] += 1
-            if resid > max_resid:
-                max_resid = resid
-            if n % record_every == 0 and i < n_rec - 1:  # the last row is t_end's
-                times[i], rows[i], diss[i] = t0 + n * dt, x, acc  # t without roundoff drift
-                i += 1
-    times[-1], rows[-1], diss[-1] = t_end, x, acc
+    rows, times, diss, solver = _march(params, basis, config, state0, config.dt, n_full,
+                                       dt_last, t_end, record_every)
     states = ModalState(times, rows[:, 0], rows[:, 1], rows[:, 2])
-    solver = SolverStats(n_steps, sum(k * c for k, c in enumerate(hist)), max_evals,
-                         max_resid, shortened, tuple(hist))
     return Trajectory(params=params, basis=basis, config=config, states=states,
                       records=energy(params, basis, states, diss_int=diss),
-                      n_steps=n_steps, solver=solver)
+                      n_steps=solver.steps, solver=solver)

@@ -306,13 +306,26 @@ def test_martinez_rejects_increasing_samples_and_bad_mu():
         check_martinez(t, np.exp(-t), mu=-0.5)
 
 
-def test_horizon_estimate_on_exact_riccati_growth():
-    # E* = (E0^-1/2 - C t / 2)^-2 solves dE*/dt = C E*^(3/2); C = 1, E0 = 1
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1.0, 1e205, 1e250])
+def test_horizon_estimate_on_exact_riccati_growth(scale):
+    """E* = (E0^-1/2 - C t / 2)^-2 solves dE*/dt = C E*^(3/2); with
+    E0 = scale, C = scale^-1/2 and the horizon is 2. At 1e205 E*^(3/2)
+    overflows on the later records, at 1e250 on all of them."""
     t = np.linspace(0.0, 1.5, 1501)
-    estar = (1.0 - 0.5 * t) ** -2.0
+    estar = scale * (1.0 - 0.5 * t) ** -2.0
     est = higher_energy_bound_horizon(synthetic_records(t, e_star=estar))
-    assert est.c_emp == pytest.approx(1.0, rel=2e-2)
+    assert est.c_emp == pytest.approx(scale ** -0.5, rel=2e-2)
     assert est.horizon == pytest.approx(2.0, rel=2e-2)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_horizon_estimate_without_finite_rate_has_no_horizon():
+    """E* differences that overflow leave C infinite: no horizon (nan)."""
+    t = np.linspace(0.0, 1e-3, 5)
+    estar = np.array([0.1, 0.5, 1.0, 1.5, 1.7]) * 1e308
+    est = higher_energy_bound_horizon(synthetic_records(t, e_star=estar))
+    assert est.c_emp == math.inf and math.isnan(est.horizon)
 
 
 def test_horizon_estimate_reports_on_simulated_run():

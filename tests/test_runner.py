@@ -341,6 +341,20 @@ def test_cli_infinite_t_end_exits_2(tmp_path, capsys):
         assert "t_end" in err and "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("eps,code", [("nan", 2), ("inf", 2), ("1e308", 3)])
+def test_cli_probe_eps_errors_print_one_line(tmp_path, capsys, eps, code):
+    """A non-finite --eps is a config error; a finite one so large that the
+    perturbed run overflows is a numeric fault, printed without warnings."""
+    cfg = write_config(tmp_path)
+    assert main(["probe-uniqueness", str(cfg), "--eps", eps,
+                 "--outdir", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1, err
+    if code == 2:
+        assert err.startswith("config error: --eps: epsilon must be finite"), err
+
+
 def test_step_budget_is_a_t_end_error():
     # sparse records pass the records limit, but 1e15 steps at dt = 1e-3
     # would run without bound

@@ -1,4 +1,5 @@
 import decimal
+import itertools
 import math
 from decimal import Decimal
 
@@ -21,7 +22,8 @@ from kirchheat import (
     step,
     zero_state,
 )
-from kirchheat.timeloop import _midpoint_block, _moment_root, rk4_dt_limit
+from kirchheat import timeloop
+from kirchheat.timeloop import _block_len, _midpoint_block, _moment_root, rk4_dt_limit
 
 BASIS_1 = build_basis(Domain.interval(math.pi), 1)
 BASIS_4 = build_basis(Domain.interval(math.pi), 4)
@@ -268,24 +270,32 @@ def test_kernel_matches_cramer_formulas(domain, n, params):
     assert new.t == dt
 
 
+@pytest.mark.parametrize("record_every", [1, 7, 64])
 @pytest.mark.parametrize("method", ["implicit_midpoint", "rk4"])
 @pytest.mark.parametrize("domain,n,params", KERNEL_CASES)
-def test_simulate_equals_repeated_step(domain, n, params, method):
+def test_simulate_equals_repeated_step(domain, n, params, method, record_every):
+    """150 full steps and a shortened one run over three blocks of 64
+    steps; every record equals a loop of `step` bit for bit, including
+    the dissipation integral."""
     basis = build_basis(domain, n)
     state = small_state(basis, seed=12)
     dt = 0.5 / basis.lambda_max
     cfg = StepperConfig(method=method, dt=dt)
-    k = 7
-    traj = simulate(params, basis, state, k * dt, cfg)
-    assert traj.n_steps == k and traj.records.t.size == k + 1
+    k = 150
+    t_end = (k + 0.4) * dt
+    traj = simulate(params, basis, state, t_end, cfg, record_every=record_every)
+    assert traj.n_steps == k + 1 and traj.records.t.size == k // record_every + 2
     acc = 0.0
-    for i in range(1, k + 1):
-        state, d_inc = step(params, basis, state, cfg)
+    for i in range(1, k + 2):
+        state, d_inc = step(params, basis, state, cfg, dt=dt if i <= k else t_end - k * dt)
         acc += d_inc
-        assert np.array_equal(traj.states.h[i], state.h)
-        assert np.array_equal(traj.states.v[i], state.v)
-        assert np.array_equal(traj.states.c[i], state.c)
-        assert traj.records.diss_int[i] == acc
+        if i % record_every and i <= k:
+            continue
+        row = i // record_every if i <= k else -1
+        assert np.array_equal(traj.states.h[row], state.h)
+        assert np.array_equal(traj.states.v[row], state.v)
+        assert np.array_equal(traj.states.c[row], state.c)
+        assert traj.records.diss_int[row] == acc
 
 
 @pytest.mark.parametrize("method", ["implicit_midpoint", "rk4"])
@@ -563,3 +573,81 @@ def test_histogram_counts_steps_by_evaluations():
     assert len(hist) == traj.solver.max_iterations + 1 and hist[-1] > 0
     assert sum(hist) == traj.n_steps
     assert sum(k * c for k, c in enumerate(hist)) == traj.solver.iterations
+
+
+def poison_stepper(monkeypatch, k, row=None, bad=None, raise_at=None):
+    """Wrap every kernel of a run so that the output of step k (counted
+    from 0 over the run) holds `bad` in `row` (h, v, c or r), and step
+    `raise_at` raises SolverDivergenceError before it writes anything."""
+    real, count = timeloop._stepper, itertools.count()
+
+    def stepper(*args):
+        advance = real(*args)
+
+        def poisoned(x, out, t):
+            i = next(count)
+            if i == raise_at:
+                raise SolverDivergenceError("stalled", residual=1.0, t=t)
+            result = advance(x, out, t)
+            if i == k:
+                out["hvcr".index(row), 1] = bad
+            return result
+        return poisoned
+
+    monkeypatch.setattr(timeloop, "_stepper", stepper)
+
+
+@pytest.mark.parametrize("params", [LIN, NONLIN], ids=["m1=0", "m1>0"])
+@pytest.mark.parametrize("row,bad", [("h", math.inf), ("c", math.nan), ("r", math.nan)])
+@pytest.mark.parametrize("k", [0, 37, 63, 64, 65, 149])
+def test_poisoned_row_is_refused_at_its_step(monkeypatch, k, row, bad, params):
+    """A non-finite value in the output of step k, at either end of a
+    block or in the shortened last step (k = 149), is refused with the
+    start time of step k, whatever the steps after it do: a bad state
+    spoils the steps after it (with m1 > 0 the kernel itself raises at
+    step k + 1), a bad r leaves them finite."""
+    poison_stepper(monkeypatch, k, row, bad)
+    dt = 1e-2
+    with pytest.raises(FloatingPointError) as err:
+        simulate(params, BASIS_4, small_state(BASIS_4, seed=21), 149.5 * dt,
+                 StepperConfig(dt=dt))
+    assert str(err.value) == f"non-finite state or dissipation after step at t={k * dt:.6g}"
+
+
+@pytest.mark.parametrize("poisoned", [True, False])
+def test_kernel_error_after_a_poisoned_row_reports_the_row(monkeypatch, poisoned):
+    """A kernel that raises at step 40 of a block whose step 37 is not
+    finite: the earlier row wins with its own message and time; without
+    the bad row the kernel's error stands."""
+    poison_stepper(monkeypatch, 37 if poisoned else None, "h", math.inf, raise_at=40)
+    dt = 1e-2
+    want = FloatingPointError if poisoned else SolverDivergenceError
+    with pytest.raises(want) as err:
+        simulate(LIN, BASIS_4, small_state(BASIS_4, seed=22), 1.0, StepperConfig(dt=dt))
+    if poisoned:
+        assert str(err.value).endswith(f"at t={37 * dt:.6g}")
+    else:
+        assert err.value.t == 40 * dt
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("params", [LIN, NONLIN], ids=["m1=0", "m1>0"])
+def test_huge_amplitude_is_refused_without_warnings(params):
+    """y0 amplitude 1e200: the state overflows within the first block, and
+    the run stops with a numeric fault and no RuntimeWarning."""
+    basis = build_basis(Domain.interval(math.pi), 16)
+    state = zero_state(basis)
+    state.h[0] = 1e200
+    with pytest.raises(FloatingPointError, match="non-finite state"):
+        simulate(params, basis, state, 1.0, StepperConfig(dt=1e-3))
+
+
+def test_block_stays_within_128_kb():
+    """A block of (B, 4, N) doubles holds at most 64 steps and 128 KB,
+    down to one step per block from N = 4096 up."""
+    for n_modes in (1, 16, 192, 256, 4096, 20000):
+        b = _block_len(10**6, n_modes)
+        assert 1 <= b <= 64
+        assert b * 4 * n_modes * 8 <= 128 * 1024 or b == 1
+    assert _block_len(10**6, 16) == 64 and _block_len(10**6, 4096) == 1
+    assert _block_len(3, 16) == 3
