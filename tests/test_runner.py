@@ -7,7 +7,9 @@ import pytest
 
 from kirchheat import (
     ConfigError,
+    Domain,
     EnergyRecord,
+    build_basis,
     build_scenario,
     config_from_dict,
     convergence_study,
@@ -110,18 +112,36 @@ def test_profile_coefficients_padding_and_zero(small_config):
         profile_coefficients(basis, InitialProfile(kind="zero")), np.zeros(4))
 
 
-def test_bump_profile_matches_dense_quadrature(small_config):
-    basis, _, _ = build_scenario(small_config)
-    coeffs = profile_coefficients(
-        basis, InitialProfile(kind="bump", amplitude=0.7))
-    x, w = np.polynomial.legendre.leggauss(400)
-    x = 0.5 * math.pi * (x + 1.0)
-    w = 0.5 * math.pi * w
-    u = x / math.pi
-    bump = 0.7 * 16.0 * u ** 2 * (1.0 - u) ** 2
-    for k in range(4):
-        phi = math.sqrt(2.0 / math.pi) * np.sin((k + 1) * x)
-        assert coeffs[k] == pytest.approx(float(w @ (bump * phi)), abs=1e-12)
+def dense_bump_coefficients(basis, amplitude, points=400):
+    """<bump, e_k> for every mode by a dense tensor Gauss-Legendre rule:
+    the bump sampled on the full grid of one `points`-point rule per axis."""
+    xg, wg = np.polynomial.legendre.leggauss(points)
+    bump, rows = amplitude, []
+    for a, L in enumerate(basis.domain.lengths):
+        x, w = 0.5 * L * (xg + 1.0), 0.5 * L * wg
+        u = x / L
+        shape = [1] * basis.domain.dim
+        shape[a] = points
+        bump = bump * (16.0 * u ** 2 * (1.0 - u) ** 2).reshape(shape)
+        ks = np.array([k[a] for k in basis.mode_indices])
+        rows.append(w * math.sqrt(2.0 / L) * np.sin(np.outer(ks, x) * (math.pi / L)))
+    if basis.domain.dim == 1:
+        return rows[0] @ bump
+    return np.einsum("ki,ij,kj->k", rows[0], bump, rows[1])
+
+
+def test_bump_profile_matches_dense_quadrature():
+    """The closed-form bump coefficients match a dense quadrature, on an
+    interval and on a 192-mode rectangle, and a mode with an even index on
+    some axis gets exactly 0.0."""
+    for domain, n_modes in [(Domain.interval(math.pi), 4), (Domain.rectangle(3.3, 2.9), 192)]:
+        basis = build_basis(domain, n_modes)
+        coeffs = profile_coefficients(basis, InitialProfile(kind="bump", amplitude=0.7))
+        np.testing.assert_allclose(coeffs, dense_bump_coefficients(basis, 0.7),
+                                   rtol=0, atol=1e-12, err_msg=str(domain))
+        even = (np.array(basis.mode_indices) % 2 == 0).any(axis=1)
+        assert even.any() and (coeffs[even] == 0.0).all(), domain
+        assert (coeffs[~even] != 0.0).all(), domain
 
 
 def test_zero_data_csv_is_exactly_zero(tmp_path):

@@ -1,7 +1,11 @@
 import decimal
 import itertools
 import math
+import os
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +26,10 @@ from kirchheat import (
     step,
     zero_state,
 )
+import kirchheat
 from kirchheat import timeloop
-from kirchheat.timeloop import _block_len, _midpoint_block, _moment_root, rk4_dt_limit
+from kirchheat.timeloop import (_block_len, _midpoint_block, _moment_root, _rk4_block,
+                                rk4_dt_limit)
 
 BASIS_1 = build_basis(Domain.interval(math.pi), 1)
 BASIS_4 = build_basis(Domain.interval(math.pi), 4)
@@ -651,3 +657,36 @@ def test_block_stays_within_128_kb():
         assert b * 4 * n_modes * 8 <= 128 * 1024 or b == 1
     assert _block_len(10**6, 16) == 64 and _block_len(10**6, 4096) == 1
     assert _block_len(3, 16) == 3
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n_modes", [1, 16, 192])
+def test_step_contraction_equals_np_einsum_bit_for_bit(n_modes):
+    """Both kernels contract through numpy's C einsum, which np.einsum
+    calls unchanged without `optimize`: the midpoint block and RK4's
+    linear block give np.einsum's bits, with and without `out`."""
+    basis = build_basis(Domain.interval(math.pi), n_modes)
+    rng = np.random.default_rng(n_modes)
+    for params in (NONLIN, ModelParams(m0=1.3, m1=0.0, alpha=-0.7, beta=-2.1)):
+        x = rng.standard_normal((3, n_modes)) * 10.0 ** rng.integers(-8, 8, (3, n_modes))
+        numer, _ = _midpoint_block(params, basis.lambdas, 1e-3)
+        for block in (numer, _rk4_block(params, basis.lambdas)):
+            want = np.einsum("ijn,jn->in", block, x)
+            assert same_bits(timeloop.c_einsum("ijn,jn->in", block, x), want)
+            out = np.empty_like(want)
+            timeloop.c_einsum("ijn,jn->in", block, x, out=out)
+            assert same_bits(out, want)
+
+
+def test_cli_imports_with_deprecation_warnings_as_errors():
+    """The kernels import `numpy._core.multiarray.c_einsum`, a private
+    path: a numpy that deprecates it fails here, not in a user's run."""
+    src = str(Path(kirchheat.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::DeprecationWarning", "-c", "import kirchheat.cli"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
