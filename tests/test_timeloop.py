@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import kirchheat
 from kirchheat import (
     Domain,
     ModalState,
@@ -26,7 +27,6 @@ from kirchheat import (
     step,
     zero_state,
 )
-import kirchheat
 from kirchheat import timeloop
 from kirchheat.timeloop import (_block_len, _midpoint_block, _moment_root, _rk4_block,
                                 rk4_dt_limit)
